@@ -118,12 +118,14 @@ impl Default for AuditConfig {
             "RumorSet::insert_consecutive",
             "RumorSet::insert_all",
             "RumorSet::union_with",
-            "RumorSet::union_words_collect_new_runs",
+            "RumorSet::union_words_collect_new_words",
             // Acquisition-log operations driven from the merge path.
             "AcquisitionLog::push",
             "AcquisitionLog::push_run",
+            "AcquisitionLog::push_bits",
             "AcquisitionLog::truncate_below",
             "AcquisitionLog::truncate_all",
+            "AcquisitionLog::for_each_piece",
             "AcquisitionLog::for_each_segment",
             // Heavy-protocol entry points dispatched through `P: Protocol`
             // generics — invisible to the name-based call graph from

@@ -15,19 +15,30 @@
 //!   the peer's log prefix.  A per-edge watermark remembers how much of the
 //!   peer's log already arrived over that edge, so repeated exchanges over
 //!   the same edge never rescan old entries.
-//! * **Interval-compressed, truncated logs.**  A log stores maximal stretches
-//!   of consecutive rumor ids as single 8-byte runs ([`AcquisitionLog`]), so
-//!   bursty acquisition orders — star hubs relaying `leaf 1, leaf 2, …`,
-//!   all-to-all endgames copying whole prefixes — compress by orders of
-//!   magnitude.  And because every snapshot in flight was taken at most
-//!   `max_latency` rounds ago, only the trailing `max_latency + 1` rounds of
-//!   each log are ever read: each node keeps a *delayed bitset shadow* — its
-//!   rumor set as of the oldest possibly-outstanding snapshot — advanced
-//!   lazily through a calendar ring, and log runs behind the shadow frontier
-//!   are truncated.  A merge whose watermark falls at or behind the frontier
-//!   unions the shadow bitset directly and replays only the retained tail.
-//!   Together these break the old `Θ(Σ|final rumor sets|)` log-memory wall
-//!   (~4 GB for all-to-all at 32768 nodes); the peak footprint is reported in
+//! * **Round-segment logs, truncated.**  A log ([`AcquisitionLog`]) stores
+//!   what a node learned in one merge phase as one *round segment*, encoded
+//!   as whichever is smaller: interval runs (maximal stretches of
+//!   consecutive rumor ids, 8 bytes each) or a dense `⌈n/64⌉`-word bitset.
+//!   Words win exactly when the phase brought more runs than the universe
+//!   has words — random-order arrival on expanders, which defeats interval
+//!   compression — while bursty orders (star hubs relaying `leaf 1, leaf 2,
+//!   …`, spanner relays) keep the run encoding and its code path.  The
+//!   choice depends only on the input.  It is sound because every log read
+//!   falls on a phase boundary — flight snapshots, per-edge watermarks,
+//!   shadow targets and initial seeds all do — so order *inside* a segment
+//!   is unobservable.  Paths that meet a word segment work on whole words:
+//!   a merge ORs it into the destination and hands the new bits on as words,
+//!   the append updates counts and termination counters by popcount and bit
+//!   tests, and shadow advancement ORs it into the shadow.  And because
+//!   every snapshot in flight was taken at most `max_latency` rounds ago,
+//!   only the trailing `max_latency + 1` rounds of each log are ever read:
+//!   each node keeps a *delayed bitset shadow* — its rumor set as of the
+//!   oldest possibly-outstanding snapshot — advanced lazily through a
+//!   calendar ring, and segments behind the shadow frontier are truncated.
+//!   A merge whose watermark falls at or behind the frontier unions the
+//!   shadow bitset directly and replays only the retained tail.  Together
+//!   these break the old `Θ(Σ|final rumor sets|)` log-memory wall (~4 GB for
+//!   all-to-all at 32768 nodes); the peak footprint is reported in
 //!   [`RunReport::mem`](crate::report::MemStats).
 //! * **Paged rumor sets + saturation collapse.**  Rumor sets are adaptive
 //!   paged bitsets ([`RumorSet`]): 4096-bit pages stored sparsely, with a
@@ -88,7 +99,7 @@ use rayon::prelude::*;
 
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
-use crate::rumor::{self, AcquisitionLog, RumorId, RumorRun, RumorSet};
+use crate::rumor::{self, AcquisitionLog, LogPiece, RumorId, RumorRun, RumorSet};
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,10 +194,11 @@ impl SimConfig {
 
     /// Tunes the lazy delayed-shadow machinery: a node's shadow bitset is
     /// materialised — and its acquisition log truncated — only once at least
-    /// this many whole interval runs would be reclaimed, so short-lived or
+    /// this many 8-byte log storage units (interval runs, or word-segment
+    /// headers and words) would be reclaimed, so short-lived or
     /// well-compressed logs never pay for a bitset.
     ///
-    /// The default (64 runs, i.e. 512 bytes of log per bitset) is a pure
+    /// The default (64 units, i.e. 512 bytes of log per bitset) is a pure
     /// memory/allocation trade-off: the setting has **no observable effect**
     /// on simulation results.  `0` forces a shadow for every node as soon as
     /// its frontier can advance; the equivalence suite uses that to exercise
@@ -777,7 +789,8 @@ fn next_event_round(
 /// reproducible across machines.
 #[derive(Default)]
 struct MemCounters {
-    /// Currently retained interval runs, summed over all logs.
+    /// Currently retained log storage units (interval runs, word-segment
+    /// headers and words), summed over all logs.
     live_runs: u64,
     /// Peak of `live_runs` over the run so far.
     peak_runs: u64,
@@ -786,9 +799,11 @@ struct MemCounters {
     shadow_words_live: u64,
     /// Peak of `shadow_words_live` over the run so far.
     shadow_words_peak: u64,
-    /// Total runs reclaimed by shadow-frontier truncation and saturation
-    /// collapse.
+    /// Total log storage units reclaimed by shadow-frontier truncation,
+    /// saturation collapse and fault resets.
     truncated_runs: u64,
+    /// Word-encoded round segments appended to logs.
+    word_segments: u64,
     /// Number of shadow-frontier advancements.
     shadow_advances: u64,
     /// Dense rumor-set pages currently allocated, summed over all nodes
@@ -857,14 +872,28 @@ impl PageTrace {
     }
 }
 
+/// What one destination learned in one merge phase — its next round
+/// segment, as phase A hands it to phase B.
+#[derive(Debug, Clone, Copy)]
+enum NewSegment {
+    /// `count` consecutive-id runs, in learn order (the interval path:
+    /// every source piece was a run and at most `word_count` runs arrived).
+    Runs { dst: u32, count: u32 },
+    /// A universe-layout bitset of the new rumors, `word_count` words.
+    Bits { dst: u32 },
+}
+
 /// Phase A output of one merge shard: every rumor newly learned by the
-/// shard's destinations, as maximal consecutive-id runs.
+/// shard's destinations, one [`NewSegment`] per destination that learned
+/// anything, in ascending destination order.
 struct MergeShardNew {
-    /// New runs flattened in task order; `run_counts[k]` of them belong to
-    /// the shard's `k`-th task.  (Flattened per shard, not per task, so a
-    /// phase's allocation count is `O(shards)`, not `O(tasks)`.)
+    segments: Vec<NewSegment>,
+    /// Runs of the `Runs` segments, flattened in segment order.  (Flattened
+    /// per shard, not per destination, so a phase's allocation count is
+    /// `O(shards)`, not `O(tasks)`.)
     runs: Vec<RumorRun>,
-    run_counts: Vec<u32>,
+    /// Words of the `Bits` segments, flattened in segment order.
+    words: Vec<u64>,
     pages: PageTrace,
 }
 
@@ -872,8 +901,11 @@ struct MergeShardNew {
 /// global termination counters in shard order.
 #[derive(Default)]
 struct MergeShardDelta {
-    /// Runs physically appended to acquisition logs (`live_runs` delta).
+    /// Storage units physically appended to acquisition logs (`live_runs`
+    /// delta).
     appended_runs: u64,
+    /// Word-encoded segments appended.
+    word_segments: u64,
     full_nodes: usize,
     source_known_by: usize,
     lb_deficit_sub: u64,
@@ -881,12 +913,22 @@ struct MergeShardDelta {
     changed: Vec<u32>,
 }
 
-/// Phase A of the sharded completion merge: unions each task's source prefix
-/// into the destination's paged rumor set, collecting the newly learned
-/// rumors.  A shard owns a contiguous destination range (its `rumors` slice,
-/// offset by `base`) and its tasks are already in canonical order, so the
-/// in-shard walk *is* the canonical serial walk restricted to that range;
-/// everything else is only read.
+/// `true` if bit `i` of a universe-layout bitset is set.
+fn bit_set(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+}
+
+/// Phase A of the sharded completion merge: unions each destination's task
+/// prefixes into its paged rumor set and collects the newly learned rumors
+/// as that destination's next round segment.  A shard owns a contiguous
+/// destination range (its `rumors` slice, offset by `base`) and its tasks
+/// are already in canonical order, so the in-shard walk *is* the canonical
+/// serial walk restricted to that range; everything else is only read.
+///
+/// New rumors stay interval runs while every source piece is a run and at
+/// most `word_count` of them arrive; otherwise they are gathered as words:
+/// shadows and word segments are OR-ed in whole, without ever being split
+/// into per-id runs.
 // gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
 fn merge_shard_phase_a(
     tasks: &[MergeTask],
@@ -898,59 +940,89 @@ fn merge_shard_phase_a(
     collapsed: &[bool],
 ) -> MergeShardNew {
     let mut out = MergeShardNew {
+        segments: Vec::with_capacity(tasks.len()),
         runs: Vec::new(),
-        run_counts: Vec::with_capacity(tasks.len()),
+        words: Vec::new(),
         pages: PageTrace::default(),
     };
-    // Per-task scratch: new runs must be collected per task (the flat buffer
-    // would otherwise coalesce id-adjacent runs across task — and therefore
-    // destination — boundaries).
-    let mut scratch: Vec<RumorRun> = Vec::new();
-    for t in tasks {
-        let si = t.src as usize;
-        let dst_set = &mut rumors[t.dst as usize - base];
-        if dst_set.is_full() {
-            // Saturated by an earlier same-destination task this phase: the
-            // union is a guaranteed no-op, exactly like the serial engine's
-            // `counts >= universe` skip at task time.
-            out.run_counts.push(0);
-            continue;
+    // Per-destination scratch: new runs (collected per destination, so
+    // id-adjacent runs never coalesce across destination boundaries) and a
+    // universe-layout bitset, kept all-zero between destinations.
+    let mut runs: Vec<RumorRun> = Vec::new();
+    let mut bits: Vec<u64> = Vec::new();
+    let mut lo = 0usize;
+    while lo < tasks.len() {
+        let dst = tasks[lo].dst;
+        let mut hi = lo + 1;
+        while hi < tasks.len() && tasks[hi].dst == dst {
+            hi += 1;
         }
-        scratch.clear();
-        let pages_before = dst_set.live_pages();
-        if collapsed[si] {
-            // Saturation-collapsed peer: every snapshot of it still in
-            // flight was taken after it saturated (that is the collapse
-            // precondition), so the prefix is the whole universe.
-            debug_assert_eq!(t.upto as usize, dst_set.universe());
-            dst_set.insert_all(&mut scratch);
-        } else {
-            let frontier = shadow_len[si];
-            if t.start < frontier {
-                // Invariant: a nonzero frontier implies a materialised
-                // shadow holding exactly the first `frontier` log entries.
-                dst_set.union_words_collect_new_runs(&shadows[si], &mut scratch);
+        let dst_set = &mut rumors[dst as usize - base];
+        bits.resize(dst_set.word_count(), 0);
+        let mut dense = false;
+        for t in &tasks[lo..hi] {
+            let si = t.src as usize;
+            if dst_set.is_full() {
+                // Saturated by an earlier same-destination task this phase:
+                // the union is a guaranteed no-op, exactly like the serial
+                // engine's `counts >= universe` skip at task time.
+                continue;
             }
-            logs[si].for_each_segment(t.start.max(frontier), t.upto, |first, len| {
-                dst_set.insert_run(first, len, &mut scratch);
-            });
+            let pages_before = dst_set.live_pages();
+            if collapsed[si] {
+                // Saturation-collapsed peer: every snapshot of it still in
+                // flight was taken after it saturated (that is the collapse
+                // precondition), so the prefix is the whole universe.
+                debug_assert_eq!(t.upto as usize, dst_set.universe());
+                dst_set.insert_all(&mut runs);
+            } else {
+                let frontier = shadow_len[si];
+                if t.start < frontier {
+                    // Invariant: a nonzero frontier implies a materialised
+                    // shadow holding exactly the first `frontier` log entries.
+                    dst_set.union_words_collect_new_words(&shadows[si], &mut bits);
+                    dense = true;
+                }
+                logs[si].for_each_piece(t.start.max(frontier), t.upto, |piece| match piece {
+                    LogPiece::Run(first, len) => dst_set.insert_run(first, len, &mut runs),
+                    LogPiece::Words(words) => {
+                        dst_set.union_words_collect_new_words(words, &mut bits);
+                        dense = true;
+                    }
+                });
+            }
+            out.pages.record(pages_before, dst_set.live_pages());
         }
-        out.pages.record(pages_before, dst_set.live_pages());
-        out.run_counts.push(scratch.len() as u32);
-        out.runs.extend_from_slice(&scratch);
+        if dense || runs.len() > bits.len() {
+            for &(first, len) in &runs {
+                rumor::set_words_range(&mut bits, first.index(), len as usize);
+            }
+            if bits.iter().any(|&w| w != 0) {
+                out.segments.push(NewSegment::Bits { dst });
+                out.words.extend_from_slice(&bits);
+                bits.fill(0);
+            }
+        } else if !runs.is_empty() {
+            out.segments.push(NewSegment::Runs {
+                dst,
+                count: runs.len() as u32,
+            });
+            out.runs.extend_from_slice(&runs);
+        }
+        runs.clear();
+        lo = hi;
     }
     out
 }
 
-/// Phase B of the sharded completion merge: appends each task's new runs to
-/// the destination's acquisition log and folds every termination counter the
-/// runs touch into a per-shard delta.  The shard's `logs` / `counts` /
-/// `informed_times` slices start at destination `base`; `rumors` is the full
-/// slice, only read (for the per-destination universe).
+/// Phase B of the sharded completion merge: appends each destination's new
+/// round segment to its acquisition log and folds every termination counter
+/// the segment touches into a per-shard delta.  The shard's `logs` /
+/// `counts` / `informed_times` slices start at destination `base`; `rumors`
+/// is the full slice, only read (for the per-destination universe).
 #[allow(clippy::too_many_arguments)]
-// gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
+// gossip-lint: allow(panic-path): segment indices are bounded by the shard partition invariants
 fn merge_shard_phase_b(
-    tasks: &[MergeTask],
     new: &MergeShardNew,
     base: usize,
     rumors: &[RumorSet],
@@ -965,55 +1037,81 @@ fn merge_shard_phase_b(
     round: u64,
 ) -> MergeShardDelta {
     let mut delta = MergeShardDelta::default();
-    let mut cursor = 0usize;
-    for (k, t) in tasks.iter().enumerate() {
-        let count = new.run_counts[k] as usize;
-        let task_runs = &new.runs[cursor..cursor + count];
-        cursor += count;
-        if count == 0 {
-            continue;
-        }
-        let di = t.dst as usize;
+    // A `(dst, w)` local-broadcast pair is only outstanding — and was only
+    // counted — while `w` is alive and the edge un-cut (crash/cut events
+    // retire such pairs eagerly).
+    let lb_pair = |w: NodeId, e: EdgeId, bound: Latency| {
+        graph.latency(e) <= bound && alive.is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
+    };
+    let (mut run_cursor, mut word_cursor) = (0usize, 0usize);
+    for &segment in &new.segments {
+        let dst = match segment {
+            NewSegment::Runs { dst, .. } | NewSegment::Bits { dst } => dst,
+        };
+        let di = dst as usize;
         let li = di - base;
-        if delta.changed.last() != Some(&t.dst) {
-            delta.changed.push(t.dst);
-        }
-        let universe = rumors[di].universe();
-        for &(first, len) in task_runs {
-            if logs[li].push_run(first, len) {
-                delta.appended_runs += 1;
-            }
-            counts[li] += len as usize;
-            if counts[li] == universe {
-                delta.full_nodes += 1;
-            }
-            let run_contains =
-                |r: RumorId| r.0 >= first.0 && u64::from(r.0) < u64::from(first.0) + u64::from(len);
-            if source_rumor.is_some_and(run_contains) {
-                delta.source_known_by += 1;
-            }
-            if tracked.is_some_and(run_contains) {
-                if let Some(informed) = informed_times.as_deref_mut() {
-                    if informed[li].is_none() {
-                        informed[li] = Some(round);
+        delta.changed.push(dst);
+        let (mut knows_source, mut knows_tracked) = (false, false);
+        match segment {
+            NewSegment::Runs { count, .. } => {
+                let seg_runs = &new.runs[run_cursor..run_cursor + count as usize];
+                run_cursor += count as usize;
+                for &(first, len) in seg_runs {
+                    if logs[li].push_run(first, len) {
+                        delta.appended_runs += 1;
+                    }
+                    counts[li] += len as usize;
+                    let in_run = |r: RumorId| {
+                        r.0 >= first.0 && u64::from(r.0) < u64::from(first.0) + u64::from(len)
+                    };
+                    knows_source |= source_rumor.is_some_and(in_run);
+                    knows_tracked |= tracked.is_some_and(in_run);
+                    if let Some(bound) = lb_bound {
+                        let nbrs = graph.neighbor_slice(NodeId::new(di));
+                        let node_count = graph.node_count();
+                        for j in first.index()..(first.index() + len as usize).min(node_count) {
+                            if let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w)
+                            {
+                                let (w, e) = nbrs[pos];
+                                if lb_pair(w, e, bound) {
+                                    delta.lb_deficit_sub += 1;
+                                }
+                            }
+                        }
                     }
                 }
             }
-            if let Some(bound) = lb_bound {
-                let nbrs = graph.neighbor_slice(NodeId::new(di));
-                let node_count = graph.node_count();
-                for j in first.index()..(first.index() + len as usize).min(node_count) {
-                    if let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w) {
-                        let (w, e) = nbrs[pos];
-                        // A `(dst, w)` pair is only outstanding — and was only
-                        // counted — while `w` is alive and the edge un-cut
-                        // (crash/cut events retire such pairs eagerly).
-                        if graph.latency(e) <= bound
-                            && alive.is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
-                        {
+            NewSegment::Bits { .. } => {
+                let bits = &new.words[word_cursor..word_cursor + rumors[di].word_count()];
+                word_cursor += bits.len();
+                let before = logs[li].len();
+                let (units, words) = logs[li].push_bits(bits);
+                delta.appended_runs += units;
+                delta.word_segments += u64::from(words);
+                counts[li] += (logs[li].len() - before) as usize;
+                let in_bits = |r: RumorId| bit_set(bits, r.index());
+                knows_source = source_rumor.is_some_and(in_bits);
+                knows_tracked = tracked.is_some_and(in_bits);
+                if let Some(bound) = lb_bound {
+                    for &(w, e) in graph.neighbor_slice(NodeId::new(di)) {
+                        if bit_set(bits, w.index()) && lb_pair(w, e, bound) {
                             delta.lb_deficit_sub += 1;
                         }
                     }
+                }
+            }
+        }
+        // Each rumor is learned once, so these fire at most once per node.
+        if counts[li] == rumors[di].universe() {
+            delta.full_nodes += 1;
+        }
+        if knows_source {
+            delta.source_known_by += 1;
+        }
+        if knows_tracked {
+            if let Some(informed) = informed_times.as_deref_mut() {
+                if informed[li].is_none() {
+                    informed[li] = Some(round);
                 }
             }
         }
@@ -1066,13 +1164,14 @@ fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R +
         .install(|| jobs.into_par_iter().map(f).collect())
 }
 
-/// Incrementally maintained dissemination state: interval-compressed
-/// acquisition logs, delayed bitset shadows, plus the counters that make
-/// every termination check `O(1)`.
+/// Incrementally maintained dissemination state: round-segment acquisition
+/// logs, delayed bitset shadows, plus the counters that make every
+/// termination check `O(1)`.
 struct Progress<'g> {
     graph: &'g Graph,
-    /// Per-node acquisition log: every rumor the node knows, in learn order,
-    /// run-length-compressed and truncated behind the shadow frontier.
+    /// Per-node acquisition log: every rumor the node knows, one round
+    /// segment per merge phase (interval runs or bitset words), truncated
+    /// behind the shadow frontier.
     logs: Vec<AcquisitionLog>,
     /// Per-node delayed shadow: the bitset of the node's first
     /// `shadow_len[i]` log entries.  Lazily materialised (empty = none, which
@@ -1200,7 +1299,9 @@ impl<'g> Progress<'g> {
     /// are long gone — every outstanding snapshot of it covers everything,
     /// so the complement of what `dst` knows *is* the delta); otherwise
     /// positions below `src`'s shadow frontier come from the shadow bitset
-    /// (one word-OR sweep) and the retained tail is replayed run by run.
+    /// (one word-OR sweep) and the retained tail is replayed segment by
+    /// segment — run by run, or one word-OR per word segment.  Each
+    /// destination's new rumors become one round segment of its log.
     ///
     /// # Why sharding cannot change the result
     ///
@@ -1219,7 +1320,7 @@ impl<'g> Progress<'g> {
     ///   shared.  No shard ever observes another's writes.
     /// * **Reductions replay the serial walk.**  Counter deltas are summed
     ///   in shard order; the dense-page peak uses the [`PageTrace`]
-    ///   composition law; the appended-runs peak needs only the phase total
+    ///   composition law; the appended-units peak needs only the phase total
     ///   (`live_runs` is monotone non-decreasing within a phase).  All are
     ///   independent of the cut positions, hence of the thread count.
     ///
@@ -1307,7 +1408,6 @@ impl<'g> Progress<'g> {
         // Phase B: append the new runs to the destinations' logs and reduce
         // the counter deltas in shard order.
         struct PhaseBJob<'a> {
-            tasks: &'a [MergeTask],
             new: &'a MergeShardNew,
             base: usize,
             logs: &'a mut [AcquisitionLog],
@@ -1323,7 +1423,6 @@ impl<'g> Progress<'g> {
             let mut informed_rest: Option<&mut [Option<u64>]> =
                 tracked.is_some().then_some(&mut informed_times[..]);
             let mut base = 0usize;
-            let mut task_lo = 0usize;
             for (k, &task_hi) in ends.iter().enumerate() {
                 let dst_hi = if k + 1 < ends.len() {
                     tasks[task_hi].dst as usize
@@ -1340,7 +1439,6 @@ impl<'g> Progress<'g> {
                     None => (None, None),
                 };
                 jobs.push(PhaseBJob {
-                    tasks: &tasks[task_lo..task_hi],
                     new: &new_runs[k],
                     base,
                     logs: logs_mine,
@@ -1351,11 +1449,9 @@ impl<'g> Progress<'g> {
                 counts_rest = counts_tail;
                 informed_rest = informed_tail;
                 base = dst_hi;
-                task_lo = task_hi;
             }
             run_jobs(threads, jobs, |job| {
                 merge_shard_phase_b(
-                    job.tasks,
                     job.new,
                     job.base,
                     rumors,
@@ -1383,6 +1479,7 @@ impl<'g> Progress<'g> {
         mem.apply_page_trace(pages);
         for delta in deltas {
             mem.live_runs += delta.appended_runs;
+            mem.word_segments += delta.word_segments;
             *full_nodes += delta.full_nodes;
             *source_known_by += delta.source_known_by;
             *lb_deficit -= delta.lb_deficit_sub;
@@ -1398,8 +1495,9 @@ impl<'g> Progress<'g> {
     /// can still be in flight), then truncates the log behind the frontier.
     ///
     /// The shadow bitset is materialised lazily: until at least
-    /// `min_truncate_runs` whole runs would be reclaimed, advancing is
+    /// `min_truncate_runs` log storage units would be reclaimed, advancing is
     /// skipped entirely — the retained log *is* the prefix, and stays small.
+    /// Word segments fold into the shadow by OR.
     ///
     /// Saturated nodes take the **collapse** path instead: once the queued
     /// target reaches the full universe — i.e. one whole calendar lap has
@@ -1440,8 +1538,15 @@ impl<'g> Progress<'g> {
             self.shadows[node] = words;
         }
         let shadow = &mut self.shadows[node];
-        self.logs[node].for_each_segment(current, target, |first, len| {
-            rumor::set_words_range(shadow, first.index(), len as usize);
+        self.logs[node].for_each_piece(current, target, |piece| match piece {
+            LogPiece::Run(first, len) => {
+                rumor::set_words_range(shadow, first.index(), len as usize);
+            }
+            LogPiece::Words(words) => {
+                for (s, &w) in shadow.iter_mut().zip(words) {
+                    *s |= w;
+                }
+            }
         });
         self.shadow_len[node] = target;
         let freed = self.logs[node].truncate_below(target) as u64;
@@ -2317,7 +2422,8 @@ impl<'g> Simulation<'g> {
         }
         let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()
             + n as u64 * RumorSet::base_cost_bytes();
-        let peak_log_bytes = progress.mem.peak_runs * 8; // a Run is two u32s
+        // A run is two u32s; a word-segment header is one run, its words 8 bytes each.
+        let peak_log_bytes = progress.mem.peak_runs * 8;
         let shadow_bytes = progress.mem.shadow_words_peak * 8;
         let watermark_bytes = self.graph.edge_count() as u64 * 8;
         let discovery_bytes = discovered.bits.len() as u64 * 8;
@@ -2326,6 +2432,7 @@ impl<'g> Simulation<'g> {
             peak_log_bytes,
             live_log_runs: progress.mem.live_runs,
             truncated_runs: progress.mem.truncated_runs,
+            word_segments: progress.mem.word_segments,
             shadow_advances: progress.mem.shadow_advances,
             shadow_bytes,
             rumor_set_bytes,

@@ -15,17 +15,25 @@ use std::fmt;
 /// [`RunReport::semantics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
-    /// Peak number of interval runs retained across all acquisition logs at
-    /// any point of the run (8 bytes each).
+    /// Peak log storage retained across all acquisition logs at any merge
+    /// boundary, in 8-byte units.  A log round segment is stored either as
+    /// interval runs (one unit each) or as a word segment (one header unit
+    /// plus `⌈n/64⌉` bitset words), whichever is smaller, so this counts
+    /// runs plus word-segment headers and words.
     pub peak_log_runs: u64,
-    /// `peak_log_runs` in bytes.
+    /// `peak_log_runs` in bytes (8 per unit).
     pub peak_log_bytes: u64,
-    /// Interval runs still retained when the run ended (zero once every node
-    /// has saturation-collapsed).
+    /// Log storage units (runs, word-segment headers and words) still
+    /// retained when the run ended (zero once every node has
+    /// saturation-collapsed).
     pub live_log_runs: u64,
-    /// Total log runs reclaimed by shadow-frontier truncation and saturation
-    /// collapse.
+    /// Total log storage units (same units as `peak_log_runs`) reclaimed by
+    /// shadow-frontier truncation, saturation collapse and fault resets.
     pub truncated_runs: u64,
+    /// Round segments appended in the word encoding: merge phases in which a
+    /// node learned rumors whose interval encoding would have needed more
+    /// runs than a dense bitset over the universe has words.
+    pub word_segments: u64,
     /// Number of shadow-frontier advancements (each may truncate logs).
     pub shadow_advances: u64,
     /// Peak bytes held by materialised delayed-shadow bitsets (shadows are

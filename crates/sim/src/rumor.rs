@@ -127,18 +127,26 @@ fn push_new_run(out: &mut Vec<RumorRun>, first: usize, len: u32) {
     out.push((RumorId(first as u32), len));
 }
 
-/// Decomposes the set bits of `new_bits` (a word whose bit 0 is universe bit
-/// `word_base`) into maximal consecutive runs, in ascending order.
-fn push_word_new_runs(out: &mut Vec<RumorRun>, word_base: usize, mut new_bits: u64) {
-    while new_bits != 0 {
-        let tz = new_bits.trailing_zeros();
-        let run = (new_bits >> tz).trailing_ones();
-        push_new_run(out, word_base + tz as usize, run);
+/// Calls `f(first, len)` for every maximal run of set bits of one bitset
+/// word whose bit 0 is universe bit `word_base`, in ascending order.
+fn for_each_word_run(word_base: usize, mut bits: u64, mut f: impl FnMut(usize, u32)) {
+    while bits != 0 {
+        let tz = bits.trailing_zeros();
+        let run = (bits >> tz).trailing_ones();
+        f(word_base + tz as usize, run);
         if tz + run >= 64 {
             break;
         }
-        new_bits &= !0u64 << (tz + run);
+        bits &= !0u64 << (tz + run);
     }
+}
+
+/// Decomposes the set bits of `new_bits` (a word whose bit 0 is universe bit
+/// `word_base`) into maximal consecutive runs, in ascending order.
+fn push_word_new_runs(out: &mut Vec<RumorRun>, word_base: usize, new_bits: u64) {
+    for_each_word_run(word_base, new_bits, |first, len| {
+        push_new_run(out, first, len)
+    });
 }
 
 impl RumorSet {
@@ -532,33 +540,33 @@ impl RumorSet {
         }
     }
 
-    /// Unions a raw dense word slice (universe layout, as used by the
-    /// engine's delayed shadows) into the set, pushing every maximal run of
-    /// newly inserted rumors onto `out_new` in increasing id order.
+    /// Unions a raw dense word slice (universe layout: a delayed shadow or a
+    /// word-encoded log segment) into the set, OR-ing every newly inserted
+    /// bit into `new_bits` (same layout).  Source pages that are all zero are
+    /// skipped, and a source page landing on an absent page is copied (or
+    /// becomes the full sentinel) without a per-word merge.
     // gossip-lint: allow(panic-path): word indices are bounded by the page capacity invariant
-    pub(crate) fn union_words_collect_new_runs(
-        &mut self,
-        words: &[u64],
-        out_new: &mut Vec<RumorRun>,
-    ) {
+    pub(crate) fn union_words_collect_new_words(&mut self, words: &[u64], new_bits: &mut [u64]) {
         debug_assert_eq!(words.len(), self.universe.div_ceil(64), "universe mismatch");
+        debug_assert_eq!(new_bits.len(), words.len(), "universe mismatch");
         if self.len == self.universe {
             return;
         }
         for page in 0..self.universe.div_ceil(PAGE_BITS) as u32 {
-            let page_start = page as usize * PAGE_BITS;
-            let word_lo = page_start / 64;
+            let word_lo = page as usize * PAGE_WORDS;
             let word_hi = (word_lo + PAGE_WORDS).min(words.len());
             let src = &words[word_lo..word_hi];
             if src.iter().all(|&w| w == 0) {
                 continue;
             }
+            let out = &mut new_bits[word_lo..word_hi];
             let cap = self.page_capacity(page);
             let added = match self.pages.binary_search_by_key(&page, |e| e.index) {
                 Err(at) => {
-                    let ones: u32 = src.iter().map(|w| w.count_ones()).sum();
-                    for (w, &bits) in src.iter().enumerate() {
-                        push_word_new_runs(out_new, page_start + w * 64, bits);
+                    let mut ones = 0u32;
+                    for (o, &bits) in out.iter_mut().zip(src) {
+                        *o |= bits;
+                        ones += bits.count_ones();
                     }
                     let state = if ones == cap {
                         PageState::Full
@@ -583,11 +591,11 @@ impl RumorSet {
                         PageState::Full => 0,
                         PageState::Dense(dst) => {
                             let mut added = 0u32;
-                            for (w, &bits) in src.iter().enumerate() {
-                                let new = bits & !dst[w];
-                                dst[w] |= bits;
+                            for ((d, o), &bits) in dst.iter_mut().zip(out.iter_mut()).zip(src) {
+                                let new = bits & !*d;
+                                *d |= bits;
+                                *o |= new;
                                 added += new.count_ones();
-                                push_word_new_runs(out_new, page_start + w * 64, new);
                             }
                             entry.ones += added;
                             if entry.ones == cap {
@@ -673,46 +681,104 @@ pub(crate) fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
     for_each_word_mask(lo, len, |w, mask| words[w] |= mask);
 }
 
+/// Number of maximal runs of consecutive set bits in a universe-layout
+/// bitset — the size, in runs, of its ascending interval encoding.
+fn count_bit_runs(words: &[u64]) -> usize {
+    let mut carry = 0u64;
+    let mut runs = 0usize;
+    for &w in words {
+        // A run starts at every set bit whose lower neighbor is clear.
+        runs += (w & !((w << 1) | carry)).count_ones() as usize;
+        carry = w >> 63;
+    }
+    runs
+}
+
+/// `first` value of the [`Run`] that heads a word-encoded segment.  A real
+/// run can never start at rumor `u32::MAX` (that would need a universe of
+/// 2³² rumors), and because a run's successor id is computed in `u64`, no
+/// later run ever coalesces onto a marker.
+const WORD_MARKER: u32 = u32::MAX;
+
 /// One run of an [`AcquisitionLog`]: the entries at positions
 /// `start .. next run's start` hold the consecutive rumor ids
 /// `first, first + 1, …`.  The run length is implicit in the neighbor run.
+/// A run whose `first` is [`WORD_MARKER`] instead heads a word segment: its
+/// entries are the set bits of the next [`WordSegment`], in ascending order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     /// Absolute log position of the run's first entry.
     start: u32,
-    /// Rumor id of the run's first entry.
+    /// Rumor id of the run's first entry (or [`WORD_MARKER`]).
     first: u32,
 }
 
-/// A run-length-compressed, truncatable acquisition log.
+/// A word-encoded round segment: the rumors a node learned in one merge
+/// phase, as a dense universe-layout bitset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WordSegment {
+    /// Absolute log position of the segment's first entry.
+    start: u32,
+    /// Absolute log position one past the segment's last entry.
+    end: u32,
+    bits: Box<[u64]>,
+}
+
+/// One stored piece of an [`AcquisitionLog`] range, handed out by
+/// [`AcquisitionLog::for_each_piece`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LogPiece<'a> {
+    /// `len` consecutive rumor ids starting at the given one.
+    Run(RumorId, u32),
+    /// A whole word-encoded round segment: the set bits of a
+    /// universe-layout bitset.
+    Words(&'a [u64]),
+}
+
+/// A truncatable acquisition log made of *round segments*.
 ///
 /// Conceptually this is an append-only sequence of [`RumorId`]s — the rumors
-/// a node learned, in learn order — addressed by *absolute position*.  Two
-/// things make it cheap at scale:
+/// a node learned, in learn order — addressed by *absolute position*.  The
+/// engine appends one segment per merge phase ([`push_bits`](Self::push_bits)
+/// or a batch of [`push_run`](Self::push_run)s) and only ever reads at
+/// segment boundaries, so the order *inside* a segment is unobservable.
+/// Three things make it cheap at scale:
 ///
 /// * **Interval runs.**  Maximal stretches of *consecutive* rumor ids are
 ///   stored as a single 8-byte run.  Acquisition orders in dissemination
-///   workloads are bursty (a merge copies its peer's runs, so runs propagate
-///   and grow), and on structured families — star hubs relaying
+///   workloads are often bursty (a merge copies its peer's runs, so runs
+///   propagate and grow), and on structured families — star hubs relaying
 ///   `leaf 1, leaf 2, …`, clique all-to-all — whole logs collapse to a
 ///   handful of runs.
+/// * **Word segments.**  A segment whose ascending interval encoding would
+///   need more runs than a dense bitset over the universe has words is
+///   stored as that bitset instead (its entries are its set bits, in
+///   ascending order).  Random-order arrival on expanders, which defeats
+///   interval compression, costs at most `universe / 64` words per segment,
+///   and merging such a segment is a word-OR.  Reads must cover a word
+///   segment whole.
 /// * **Prefix truncation.**  [`truncate_below`](Self::truncate_below) drops
-///   runs that lie entirely below a position; reads below the truncation
-///   frontier are a contract violation (the engine serves them from a delayed
-///   bitset shadow instead).  Positions stay absolute across truncation, so
-///   snapshots and watermarks taken earlier remain valid.
+///   runs and segments that lie entirely below a position; reads below the
+///   truncation frontier are a contract violation (the engine serves them
+///   from a delayed bitset shadow instead).  Positions stay absolute across
+///   truncation, so snapshots and watermarks taken earlier remain valid.
 ///   [`truncate_all`](Self::truncate_all) is the saturation-collapse variant:
-///   it drops *every* run and releases the log's storage outright.
+///   it drops *everything* and releases the log's storage outright.
+///
+/// Storage is counted in 8-byte **units**: one per run, plus one header run
+/// and one unit per bitset word for each word segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcquisitionLog {
     runs: Vec<Run>,
     /// Index into `runs` of the first retained run (earlier runs are dropped
-    /// lazily and compacted away once they dominate the vector).
-    head: usize,
+    /// lazily and compacted away once they dominate the vector).  A `u32`
+    /// suffices: every run covers at least one of the `u32`-addressed
+    /// positions.
+    head: u32,
     /// Total number of entries ever appended (`==` the owning node's rumor count).
     len: u32,
-    /// Absolute position of the first retained entry (`== len` when empty).
-    front: u32,
+    /// Retained word segments, in log order (one per retained marker run).
+    segments: Vec<WordSegment>,
 }
 
 impl AcquisitionLog {
@@ -722,7 +788,7 @@ impl AcquisitionLog {
             runs: Vec::new(),
             head: 0,
             len: 0,
-            front: 0,
+            segments: Vec::new(),
         }
     }
 
@@ -745,12 +811,20 @@ impl AcquisitionLog {
     /// Absolute position of the first retained entry: reads below this
     /// position panic in debug builds.
     pub fn front(&self) -> u32 {
-        self.front
+        self.live().first().map_or(self.len, |r| r.start)
     }
 
-    /// Number of runs currently retained (the log's live memory, 8 bytes each).
+    /// The retained runs (word-segment markers included).
+    // gossip-lint: allow(panic-path): head <= runs.len() is kept by truncate_below and the compaction
+    fn live(&self) -> &[Run] {
+        &self.runs[self.head as usize..]
+    }
+
+    /// Storage units currently retained (the log's live memory, 8 bytes
+    /// each): one per interval run, plus a header and one per bitset word
+    /// for every word segment.
     pub fn retained_runs(&self) -> usize {
-        self.runs.len() - self.head
+        self.live().len() + self.segments.iter().map(|s| s.bits.len()).sum::<usize>()
     }
 
     /// End position of the retained run at `runs` index `i`.
@@ -773,15 +847,14 @@ impl AcquisitionLog {
     /// Appends `len` consecutive entries `first, first+1, …` as one batch.
     /// Returns `true` if the batch started a new run (`false` when it
     /// extended the last run).  `len == 0` is a no-op returning `false`.
-    // gossip-lint: allow(panic-path): the last-run index exists once the non-empty check passed
     pub fn push_run(&mut self, first: RumorId, len: u32) -> bool {
         if len == 0 {
             return false;
         }
+        debug_assert_ne!(first.0, WORD_MARKER, "rumor id reserved for word segments");
         let pos = self.len;
         self.len += len;
-        if self.head < self.runs.len() {
-            let last = self.runs[self.runs.len() - 1];
+        if let Some(&last) = self.live().last() {
             if u64::from(last.first) + u64::from(pos - last.start) == u64::from(first.0) {
                 return false;
             }
@@ -793,43 +866,77 @@ impl AcquisitionLog {
         true
     }
 
-    /// Number of retained runs that lie entirely below `pos` — exactly what
+    /// Appends the set bits of `bits` (a universe-layout bitset of rumors
+    /// the log does not hold yet) as one round segment, in the smaller
+    /// encoding: a word segment when the bits' ascending interval encoding
+    /// needs more runs than `bits` has words, else ascending interval runs.
+    /// Returns the storage units appended and whether a word segment was
+    /// written.
+    pub(crate) fn push_bits(&mut self, bits: &[u64]) -> (u64, bool) {
+        if count_bit_runs(bits) > bits.len() {
+            let entries: u32 = bits.iter().map(|w| w.count_ones()).sum();
+            let start = self.len;
+            self.len += entries;
+            self.runs.push(Run {
+                start,
+                first: WORD_MARKER,
+            });
+            self.segments.push(WordSegment {
+                start,
+                end: self.len,
+                bits: bits.into(),
+            });
+            return (bits.len() as u64 + 1, true);
+        }
+        let mut units = 0u64;
+        for (w, &word) in bits.iter().enumerate() {
+            for_each_word_run(w * 64, word, |first, len| {
+                units += u64::from(self.push_run(RumorId(first as u32), len));
+            });
+        }
+        (units, false)
+    }
+
+    /// Storage units of the retained runs and word segments that lie
+    /// entirely below `pos` — exactly what
     /// [`truncate_below`](Self::truncate_below) would reclaim.
-    // gossip-lint: allow(panic-path): run indices stay below the partition point, which is <= runs.len()
     pub fn runs_entirely_below(&self, pos: u32) -> usize {
-        let live = &self.runs[self.head..];
-        let k = live.partition_point(|r| r.start < pos);
+        let k = self.live().partition_point(|r| r.start < pos);
         if k == 0 {
             return 0;
         }
         // The k-th run (index k-1) starts below `pos` but may extend past it.
-        let end = self.run_end(self.head + k - 1);
-        if end <= pos {
-            k
-        } else {
-            k - 1
-        }
+        let end = self.run_end(self.head as usize + k - 1);
+        let runs = if end <= pos { k } else { k - 1 };
+        let segments = self.segments.partition_point(|s| s.end <= pos);
+        runs + self
+            .segments
+            .iter()
+            .take(segments)
+            .map(|s| s.bits.len())
+            .sum::<usize>()
     }
 
-    /// Drops every run lying entirely below `pos` and returns how many were
-    /// reclaimed.  A run straddling `pos` is kept whole, so positions
-    /// `>= pos` always stay readable.
-    // gossip-lint: allow(panic-path): run indices stay below the partition point, which is <= runs.len()
+    /// Drops every run and word segment lying entirely below `pos` and
+    /// returns the storage units reclaimed.  A run straddling `pos` is kept
+    /// whole, so positions `>= pos` always stay readable.
     pub fn truncate_below(&mut self, pos: u32) -> usize {
         let mut dropped = 0usize;
-        while self.head < self.runs.len() && self.run_end(self.head) <= pos {
+        while let Some(&run) = self.live().first() {
+            if self.run_end(self.head as usize) > pos {
+                break;
+            }
+            if run.first == WORD_MARKER && !self.segments.is_empty() {
+                dropped += self.segments.remove(0).bits.len();
+            }
             self.head += 1;
             dropped += 1;
         }
-        self.front = if self.head < self.runs.len() {
-            self.runs[self.head].start
-        } else {
-            self.len
-        };
         // Compact once dropped runs dominate, and release oversized capacity
         // so truncation frees real memory, not just indices.
-        if self.head > 32 && self.head * 2 >= self.runs.len() {
-            self.runs.drain(..self.head);
+        let head = self.head as usize;
+        if head > 32 && head * 2 >= self.runs.len() {
+            self.runs.drain(..head);
             self.head = 0;
             if self.runs.capacity() > 4 * self.runs.len().max(8) {
                 self.runs.shrink_to(2 * self.runs.len().max(8));
@@ -838,52 +945,89 @@ impl AcquisitionLog {
         dropped
     }
 
-    /// Drops every retained run and releases the log's storage, returning
-    /// how many runs were reclaimed.  The saturation-collapse path: once a
-    /// node's rumor set is full and every possibly-outstanding snapshot of it
-    /// covers the whole universe, the log's history can never be read again.
-    /// Positions stay absolute — appends after collapse continue at `len()`.
+    /// Drops every retained run and word segment and releases the log's
+    /// storage, returning the storage units reclaimed.  The
+    /// saturation-collapse path: once a node's rumor set is full and every
+    /// possibly-outstanding snapshot of it covers the whole universe, the
+    /// log's history can never be read again.  Positions stay absolute —
+    /// appends after collapse continue at `len()`.
     pub fn truncate_all(&mut self) -> usize {
         let dropped = self.retained_runs();
         self.runs = Vec::new();
         self.head = 0;
-        self.front = self.len;
+        self.segments = Vec::new();
         dropped
     }
 
-    /// Calls `f(first_rumor, segment_len)` for the consecutive-id segments
-    /// covering positions `from..to`, in position order.
+    /// Calls `f` with the stored pieces covering positions `from..to`, in
+    /// position order: interval runs clipped to the range, word segments
+    /// whole.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `from` lies below the truncation frontier or
-    /// `to` past the end.
-    // gossip-lint: allow(panic-path): run indices come from partition_point over the live runs
-    pub fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
+    /// Panics in debug builds if `from` lies below the truncation frontier,
+    /// `to` past the end, or the range cuts through a word segment.
+    // gossip-lint: allow(panic-path): run and segment indices come from partition_point over the live runs, one segment per marker
+    pub(crate) fn for_each_piece(&self, from: u32, to: u32, mut f: impl FnMut(LogPiece<'_>)) {
         if from >= to {
             return;
         }
         debug_assert!(
-            from >= self.front,
+            from >= self.front(),
             "reading truncated log positions ({from} < front {})",
-            self.front
+            self.front()
         );
         debug_assert!(to <= self.len, "reading past the log ({to} > {})", self.len);
-        let live = &self.runs[self.head..];
+        let live = self.live();
+        let segments = &self.segments;
         let mut i = live.partition_point(|r| r.start <= from).saturating_sub(1);
+        let mut segment = match live.get(i) {
+            Some(run) => segments.partition_point(|s| s.start < run.start),
+            None => 0,
+        };
         while i < live.len() {
             let run = live[i];
             if run.start >= to {
                 break;
             }
-            let end = self.run_end(self.head + i);
-            let s = run.start.max(from);
-            let e = end.min(to);
-            if s < e {
-                f(RumorId(run.first + (s - run.start)), e - s);
+            let end = self.run_end(self.head as usize + i);
+            if run.first == WORD_MARKER {
+                let words = &segments[segment];
+                debug_assert!(
+                    words.start == run.start && from <= run.start && end <= to,
+                    "word segment {}..{end} must be read whole (read {from}..{to})",
+                    run.start
+                );
+                segment += 1;
+                f(LogPiece::Words(&words.bits));
+            } else {
+                let s = run.start.max(from);
+                let e = end.min(to);
+                if s < e {
+                    f(LogPiece::Run(RumorId(run.first + (s - run.start)), e - s));
+                }
             }
             i += 1;
         }
+    }
+
+    /// Calls `f(first_rumor, segment_len)` for the consecutive-id segments
+    /// covering positions `from..to`, in position order (a word segment is
+    /// decomposed into its ascending runs, split at word boundaries).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `from` lies below the truncation frontier,
+    /// `to` past the end, or the range cuts through a word segment.
+    pub fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
+        self.for_each_piece(from, to, |piece| match piece {
+            LogPiece::Run(first, len) => f(first, len),
+            LogPiece::Words(bits) => {
+                for (w, &word) in bits.iter().enumerate() {
+                    for_each_word_run(w * 64, word, |first, len| f(RumorId(first as u32), len));
+                }
+            }
+        });
     }
 
     /// The entry at absolute position `pos` (mainly for tests).
@@ -893,10 +1037,31 @@ impl AcquisitionLog {
     /// Panics if `pos` is truncated or out of range.
     // gossip-lint: allow(panic-path): pos is asserted in range on entry
     pub fn get(&self, pos: u32) -> RumorId {
-        assert!(pos >= self.front && pos < self.len, "position out of range");
-        let live = &self.runs[self.head..];
+        assert!(
+            pos >= self.front() && pos < self.len,
+            "position out of range"
+        );
+        let live = self.live();
         let i = live.partition_point(|r| r.start <= pos) - 1;
-        RumorId(live[i].first + (pos - live[i].start))
+        if live[i].first != WORD_MARKER {
+            return RumorId(live[i].first + (pos - live[i].start));
+        }
+        // The (pos - start)-th set bit of the segment, in ascending order.
+        let segments = &self.segments;
+        let segment = &segments[segments.partition_point(|s| s.start < live[i].start)];
+        let mut rank = pos - live[i].start;
+        for (w, &word) in segment.bits.iter().enumerate() {
+            let ones = word.count_ones();
+            if rank < ones {
+                let mut bits = word;
+                for _ in 0..rank {
+                    bits &= bits - 1;
+                }
+                return RumorId((w * 64) as u32 + bits.trailing_zeros());
+            }
+            rank -= ones;
+        }
+        unreachable!("a word segment holds exactly end - start set bits")
     }
 }
 
@@ -1216,10 +1381,17 @@ mod tests {
         set_words_range(&mut shadow, 5, 1); // already known
         set_words_range(&mut shadow, 64, 1); // 64
         set_words_range(&mut shadow, PAGE_BITS + 129, 1); // second page
-        let mut new = Vec::new();
-        dst.union_words_collect_new_runs(&shadow, &mut new);
+        let new_runs = |bits: &[u64]| {
+            let mut runs = Vec::new();
+            for (w, &word) in bits.iter().enumerate() {
+                push_word_new_runs(&mut runs, w * 64, word);
+            }
+            runs
+        };
+        let mut new = vec![0u64; shadow.len()];
+        dst.union_words_collect_new_words(&shadow, &mut new);
         assert_eq!(
-            new,
+            new_runs(&new),
             vec![
                 (RumorId(0), 2),
                 (RumorId(64), 1),
@@ -1227,9 +1399,9 @@ mod tests {
             ]
         );
         assert_eq!(dst.len(), 5);
-        new.clear();
-        dst.union_words_collect_new_runs(&shadow, &mut new);
-        assert!(new.is_empty(), "second union adds nothing");
+        new.fill(0);
+        dst.union_words_collect_new_words(&shadow, &mut new);
+        assert!(new_runs(&new).is_empty(), "second union adds nothing");
     }
 
     #[test]
@@ -1410,6 +1582,124 @@ mod tests {
         assert_eq!(log.get(102), RumorId(502));
         assert_eq!(log.truncate_all(), 1);
         assert_eq!(log.front(), 103);
+    }
+
+    /// Property: a log built from random per-round batches — consecutive
+    /// stretches appended as runs, scattered sets through `push_bits` — holds
+    /// exactly the naive `Vec<RumorId>` log's contents between every pair of
+    /// round boundaries (each segment in ascending order), picks the smaller
+    /// encoding for every `push_bits` segment, and keeps reading correctly
+    /// after `truncate_below` at a boundary and after `truncate_all`.
+    #[test]
+    fn mixed_encoding_log_matches_a_naive_log_at_round_boundaries() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut word_segments_seen = 0usize;
+        let mut run_batches_seen = 0usize;
+        for case in 0..300u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let universe = rng.gen_range(1..700usize);
+            let wc = universe.div_ceil(64);
+            let mut known = vec![false; universe];
+            let mut naive: Vec<RumorId> = Vec::new();
+            let mut log = AcquisitionLog::new();
+            // Round boundaries (log positions) and whether the round's
+            // segment must be word-encoded.
+            let mut bounds = vec![0u32];
+            let mut expect_words: Vec<bool> = Vec::new();
+            while naive.len() < universe && bounds.len() < 40 {
+                let mut batch: Vec<usize> = Vec::new();
+                if rng.gen_bool(0.3) {
+                    // A consecutive stretch of unknown ids, appended as one run.
+                    let start = rng.gen_range(0..universe);
+                    let mut i = start;
+                    while i < universe && !known[i] && batch.len() < 200 {
+                        batch.push(i);
+                        i += 1;
+                    }
+                    if let Some(&first) = batch.first() {
+                        log.push_run(RumorId(first as u32), batch.len() as u32);
+                        expect_words.push(false);
+                        run_batches_seen += 1;
+                    }
+                } else {
+                    // A scattered set, sometimes dense enough for words.
+                    let p = rng.gen_range(0.01..0.9);
+                    batch = (0..universe)
+                        .filter(|&i| !known[i] && rng.gen_bool(p))
+                        .collect();
+                    let mut bits = vec![0u64; wc];
+                    for &i in &batch {
+                        bits[i / 64] |= 1 << (i % 64);
+                    }
+                    let before = log.retained_runs();
+                    let (units, words) = log.push_bits(&bits);
+                    assert_eq!(log.retained_runs() - before, units as usize);
+                    assert_eq!(words, count_bit_runs(&bits) > wc, "smaller encoding");
+                    if words {
+                        assert_eq!(units as usize, wc + 1);
+                    } else {
+                        assert!(units as usize <= wc, "run segments hold <= wc runs");
+                    }
+                    word_segments_seen += usize::from(words);
+                    if !batch.is_empty() {
+                        expect_words.push(words);
+                    }
+                }
+                if batch.is_empty() {
+                    continue;
+                }
+                for &i in &batch {
+                    known[i] = true;
+                    naive.push(RumorId::from(i));
+                }
+                bounds.push(naive.len() as u32);
+            }
+            assert_eq!(log.len() as usize, naive.len());
+            // The stored encoding of each round segment is the chosen one.
+            for (k, &words) in expect_words.iter().enumerate() {
+                let has_segment = log.segments.iter().any(|s| s.start == bounds[k]);
+                assert_eq!(has_segment, words, "case {case} round {k}");
+            }
+            let check_reads = |log: &AcquisitionLog, from_round: usize| {
+                for a in from_round..bounds.len() {
+                    for b in a..bounds.len() {
+                        let (lo, hi) = (bounds[a], bounds[b]);
+                        let mut got = Vec::new();
+                        log.for_each_segment(lo, hi, |first, len| {
+                            got.extend((first.0..first.0 + len).map(RumorId));
+                        });
+                        assert_eq!(
+                            got,
+                            naive[lo as usize..hi as usize],
+                            "case {case} {lo}..{hi}"
+                        );
+                    }
+                }
+                for pos in bounds[from_round]..log.len() {
+                    assert_eq!(log.get(pos), naive[pos as usize], "case {case} pos {pos}");
+                }
+            };
+            check_reads(&log, 0);
+            // Truncate at a random boundary: exactly the predicted units go,
+            // and every later boundary range stays readable.
+            let cut_round = rng.gen_range(0..bounds.len());
+            let cut = bounds[cut_round];
+            let predicted = log.runs_entirely_below(cut);
+            let retained = log.retained_runs();
+            assert_eq!(log.truncate_below(cut), predicted, "case {case}");
+            assert_eq!(log.retained_runs(), retained - predicted);
+            assert!(log.front() <= cut);
+            check_reads(&log, cut_round);
+            let retained = log.retained_runs();
+            assert_eq!(log.truncate_all(), retained);
+            assert_eq!(log.retained_runs(), 0);
+            assert!(log.segments.is_empty());
+            assert_eq!(log.front(), log.len());
+        }
+        assert!(word_segments_seen > 50, "word segments must fire");
+        assert!(run_batches_seen > 50, "run segments must fire");
     }
 
     #[test]

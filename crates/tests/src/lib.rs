@@ -28,3 +28,45 @@ pub fn example_binary(name: &str) -> Option<PathBuf> {
         .join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     candidate.is_file().then_some(candidate)
 }
+
+/// An Erdős–Rényi core with a star hub attached, under the sweep's slow-link
+/// latencies (`Bimodal{16, 0.25}`: exactly a quarter of all edges get
+/// latency 16, the rest latency 1).
+///
+/// Nodes `0..core` form an Erdős–Rényi graph with average degree ≈ 10;
+/// node `core` is the hub, joined to core node 0 and to the `leaves` pendant
+/// leaves `core + 1 ..`.  The mix exercises both acquisition-log encodings
+/// in one run: core nodes learn scattered rumor ids (word segments once a
+/// merge brings more runs than the universe has bitset words), while the
+/// hub collects its leaves' ids in ascending order and relays them back in
+/// bursts (interval runs).
+///
+/// # Panics
+///
+/// Panics if `core` is zero (the generators reject it).
+pub fn expander_with_star_hub(core: usize, leaves: usize, seed: u64) -> gossip_graph::Graph {
+    use gossip_graph::latency::LatencyScheme;
+    use gossip_graph::GraphBuilder;
+    use rand::SeedableRng;
+
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let er = gossip_graph::generators::erdos_renyi(core, 10.0 / core as f64, 1, &mut rng)
+        .expect("valid Erdős–Rényi parameters");
+    let hub = core;
+    let mut b = GraphBuilder::new(core + 1 + leaves);
+    for rec in er.edges() {
+        b.add_edge(rec.u.index(), rec.v.index(), 1)
+            .expect("Erdős–Rényi edges are simple");
+    }
+    b.add_edge(hub, 0, 1).expect("fresh hub edge");
+    for leaf in hub + 1..hub + 1 + leaves {
+        b.add_edge(hub, leaf, 1).expect("fresh leaf edge");
+    }
+    let g = b.build_connected().expect("the core is connected");
+    LatencyScheme::BimodalFraction {
+        slow: 16,
+        slow_fraction: 0.25,
+    }
+    .apply(&g, &mut rng)
+    .expect("bimodal latencies apply to any graph")
+}

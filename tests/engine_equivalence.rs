@@ -438,6 +438,48 @@ proptest! {
     }
 }
 
+/// Both acquisition-log encodings in one run, at mid size: all-to-all
+/// push–pull on a 2048-node Erdős–Rényi core with a 256-leaf star hub under
+/// slow-link latencies, once with forced shadows and once with the default
+/// compaction threshold.  Core nodes learn scattered ids and store word
+/// segments; the hub and its leaves learn in bursts and store interval
+/// runs.  The sharded engine must match the dense oracle exactly, and the
+/// storage counters must show that both encodings fired.
+#[test]
+fn oracle_matches_engine_with_run_and_word_segments_in_one_run() {
+    let g = gossip_tests::expander_with_star_hub(2048, 256, 0x5E6);
+    let n = g.node_count();
+    let word_segment_units = n.div_ceil(64) as u64 + 1;
+    for (forced, label) in [(true, "forced shadows"), (false, "default compaction")] {
+        let mut config = SimConfig::new(31)
+            .termination(Termination::AllKnowAll)
+            .track_rumor(RumorId::from(n - 1))
+            .max_rounds(2_000);
+        if forced {
+            config = config.shadow_compaction(0);
+        }
+        let report = assert_oracle_equivalent(&g, &config, || RandomPushPull::new(&g), label);
+        assert!(report.completed, "{label}: {report}");
+        let mem = report.mem.unwrap();
+        assert!(
+            mem.word_segments > 0,
+            "{label}: word segments must fire ({mem:?})"
+        );
+        // Every storage unit ever appended is either still retained or was
+        // reclaimed; beyond the n initial singleton runs, whatever is not
+        // word-segment storage was appended as interval runs.
+        let appended = mem.live_log_runs + mem.truncated_runs - n as u64;
+        assert!(
+            appended > mem.word_segments * word_segment_units,
+            "{label}: interval runs must fire too ({mem:?})"
+        );
+        assert!(
+            mem.shadow_advances > 0,
+            "{label}: shadows must advance ({mem:?})"
+        );
+    }
+}
+
 // The mid-size tier: the dense-bitset oracle carries the same three
 // structure-forcing equivalence arguments (shadows, collapse, skipping) into
 // the 2048+-node regime, against the *sharded* engine — so each case also

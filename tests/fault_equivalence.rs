@@ -23,6 +23,7 @@
 use gossip_bench::sweep::SweepSpec;
 use gossip_bench::Scale;
 use gossip_graph::{generators, Graph, NodeId};
+use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::reference::ReferenceSimulation;
 use gossip_sim::{
@@ -329,6 +330,37 @@ proptest! {
             "a post-quiescence crash must not change the run"
         );
     }
+}
+
+/// Crash/rejoin churn on the mixed-encoding graph of `engine_equivalence`
+/// (a 2048-node Erdős–Rényi core with a star hub, slow-link latencies):
+/// crashes free logs holding word segments and rejoins reset them, and the
+/// sharded engine must still match the dense oracle exactly.
+#[test]
+fn churn_over_word_segment_logs_matches_the_oracle() {
+    let g = gossip_tests::expander_with_star_hub(2048, 256, 0x5E6);
+    let churn = ChurnSpec {
+        crash_permille: 100,
+        rejoin_after: Some(12),
+        cut_permille: 0,
+        loss_ppm: 0,
+        window: (4, 30),
+    };
+    let plan = FaultPlan::random_churn(&g, 17, &churn);
+    let config = SimConfig::new(17)
+        .termination(Termination::AllKnowAll)
+        .max_rounds(2_000)
+        .faults(plan);
+    let mut sim = Simulation::new(&g, config.clone().threads(4));
+    let report = sim.run_sharded(&mut RandomPushPull::new(&g));
+    let mut oracle = OracleSimulation::new(&g, config);
+    let oracle_report = oracle.run(&mut RandomPushPull::new(&g));
+    assert_eq!(report.semantics(), oracle_report.semantics());
+    assert_eq!(sim.into_rumors(), oracle.into_rumor_sets());
+    let section = report.faults.unwrap();
+    assert!(section.crashes > 0 && section.rejoins > 0, "{section:?}");
+    let mem = report.mem.unwrap();
+    assert!(mem.word_segments > 0, "word segments must fire ({mem:?})");
 }
 
 /// Residual-reachability accounting at scale: 10% crashes on a 4096-node
