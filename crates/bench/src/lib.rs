@@ -4,10 +4,6 @@
 //! `DESIGN.md` (E1–E8, F1, F2, F8).  Each experiment returns a [`Table`] whose
 //! rows are also serialisable to JSON, and the `experiments` binary prints
 //! them in the exact form recorded in `EXPERIMENTS.md`.
-//!
-//! The Criterion benches under `benches/` reuse the same workload
-//! constructors with smaller parameters so that `cargo bench` exercises every
-//! experiment end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -653,7 +653,7 @@ mod tests {
     fn test_path_classification() {
         assert!(is_test_path(Path::new("tests/determinism.rs")));
         assert!(is_test_path(Path::new("examples/quickstart.rs")));
-        assert!(is_test_path(Path::new("crates/bench/benches/dtg.rs")));
+        assert!(is_test_path(Path::new("crates/demo/benches/throughput.rs")));
         assert!(is_test_path(Path::new("crates/graph/tests/props.rs")));
         assert!(!is_test_path(Path::new("crates/tests/src/lib.rs")));
         assert!(!is_test_path(Path::new("crates/core/src/dtg.rs")));
@@ -695,8 +695,8 @@ mod tests {
 
     #[test]
     fn test_mod_candidates_resolve_siblings() {
-        let got = test_mod_candidates(Path::new("crates/core/src/lib.rs"), "spanner_old");
-        assert!(got.contains(&PathBuf::from("crates/core/src/spanner_old.rs")));
+        let got = test_mod_candidates(Path::new("crates/core/src/lib.rs"), "fixtures");
+        assert!(got.contains(&PathBuf::from("crates/core/src/fixtures.rs")));
     }
 
     #[test]

@@ -85,10 +85,12 @@
 //!   latency is a bitset with two bits per edge (one per endpoint); the
 //!   latency itself is read from the graph.
 //!
-//! The previous snapshot-per-exchange implementation is preserved verbatim in
-//! [`crate::reference`] and pinned against this engine by the
-//! `engine_equivalence` integration suite: both must produce byte-identical
-//! [`RunReport`]s and rumor states on the standard scenario grid.
+//! The executable specification is the dense-bitset
+//! [`OracleSimulation`](crate::oracle::OracleSimulation), which snapshots
+//! both endpoints at initiation and walks every round.  The
+//! `engine_equivalence` integration suite pins this engine against it: both
+//! must produce identical semantic [`RunReport`]s and rumor states on the
+//! standard scenario grid.
 
 use std::collections::HashMap;
 
@@ -236,13 +238,13 @@ impl SimConfig {
 /// The decision RNG stream for one `(round, node)` cell, derived from the
 /// run seed by a splitmix64-style avalanche over the three coordinates.
 ///
-/// Every engine (the sharded one, [`crate::reference`], and the dense
-/// mid-size oracle) draws a node's round decision from this stream and from
-/// nothing else, which is what makes the decision pass shardable: a worker
-/// can decide any subset of nodes in any order without desynchronising the
-/// draws of the others.  The historical single sequential stream would have
-/// made every node's draw depend on how many draws every *earlier* node
-/// consumed — unshardable without replaying the whole worklist.
+/// Both the engine (sharded or not) and the dense oracle draw a node's round
+/// decision from this stream and from nothing else, which is what makes the
+/// decision pass shardable: a worker can decide any subset of nodes in any
+/// order without desynchronising the draws of the others.  The historical
+/// single sequential stream would have made every node's draw depend on how
+/// many draws every *earlier* node consumed — unshardable without replaying
+/// the whole worklist.
 pub(crate) fn decision_rng(seed: u64, round: u64, node: u32) -> SmallRng {
     let mut key = seed
         ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -318,7 +320,7 @@ pub(crate) struct LatencyOracle<'a> {
 }
 
 /// Where an oracle looks up per-node discovery state.  The engine uses the
-/// flat bitset; the reference engine keeps the historical per-node maps.
+/// flat bitset; the dense oracle keeps per-node maps.
 #[derive(Debug)]
 pub(crate) enum OracleSource<'a> {
     Flat {
@@ -490,9 +492,9 @@ pub trait Protocol {
     /// [`Activity`]: while idle or quiescent, any `on_round` call the engine
     /// elides would have returned `None` without drawing from the RNG and
     /// without mutating the protocol.  Violating the contract desynchronises
-    /// the run from the reference semantics (and from the same protocol run
-    /// under [`crate::reference::ReferenceSimulation`], which still asks
-    /// every node every round).
+    /// the run from the specified semantics (and from the same protocol run
+    /// under [`crate::oracle::OracleSimulation`], which never calls this
+    /// method and asks every node every round).
     // gossip-audit: contract(pure)
     fn activity(&self, view: &NodeView<'_>) -> Activity {
         let _ = view;
@@ -1310,8 +1312,8 @@ impl<'g> Progress<'g> {
     ///   and a destination's tasks keep their flight order (the sort is
     ///   stable).  Snapshots are taken only on round boundaries, after the
     ///   phase has fully landed, so no in-phase interleaving is observable.
-    ///   (The per-merge insertion order already differed from the reference
-    ///   engine — shadow and saturated-peer unions yield ascending rumor
+    ///   (The per-merge insertion order already differs from the dense
+    ///   oracle's — shadow and saturated-peer unions yield ascending rumor
     ///   ids, not learn order — for exactly this reason; `engine_equivalence`
     ///   pins it.)
     /// * **Shard cuts fall only between destinations** ([`partition_tasks`]),
@@ -2371,12 +2373,12 @@ impl<'g> Simulation<'g> {
                 //    this round's termination check, and for
                 //    [`Termination::Quiescent`] a final `on_round` call may
                 //    have flipped the last `is_idle` — state the check
-                //    could not see but that the reference engine observes
+                //    could not see but that the oracle observes
                 //    at the next round's boundary.  Nothing can change
                 //    *during* a gap (no protocol calls, frozen counters),
                 //    so one re-check at `round + 1` is exact: if the run is
                 //    done there, walk a single round and let the loop
-                //    terminate where the reference engine does.
+                //    terminate where the oracle does.
                 if worklist.is_empty() {
                     let mut next = next_event_round(round, ring_len, &calendar, &shadow_ring)
                         .unwrap_or(self.config.max_rounds)
@@ -2452,7 +2454,7 @@ impl<'g> Simulation<'g> {
         };
         // Graceful-degradation accounting: present exactly when a fault plan
         // was attached (even an inert one), and computed identically by the
-        // reference engine — it is part of the semantic report.
+        // oracle — it is part of the semantic report.
         let faults = alive.map(|av| {
             let (residual_components, largest_component) = av.residual_components(self.graph);
             FaultReport {

@@ -1,20 +1,23 @@
-//! The mid-size oracle: dense-bitset snapshot semantics, `O(n · rounds)`.
+//! The executable specification: dense-bitset snapshot semantics,
+//! `O(n · rounds)`.
 //!
-//! [`OracleSimulation`] replays the same protocol semantics as
-//! [`crate::reference::ReferenceSimulation`] — snapshot both endpoints at
-//! initiation, deliver after the edge latency, merge the peer's snapshot —
-//! but stores every rumor state as one flat dense bitset row (`universe /
-//! 64` words per node).  There are no interval logs, no shadows, no
-//! watermarks and no paged sets anywhere: a snapshot is a `memcpy` of one
-//! row and a merge is a word-wise OR, so the oracle stays fast well past the
-//! reference engine's toy sizes and lets the `engine_equivalence` property
-//! tests cross 10³–10⁴ nodes.
+//! [`OracleSimulation`] states the protocol semantics the engine must
+//! reproduce in the most direct form: walk every round, ask every alive
+//! node, snapshot both endpoints at initiation, deliver after the edge
+//! latency, merge the peer's snapshot.  Every rumor state is one flat dense
+//! bitset row (`universe / 64` words per node).  There are no interval
+//! logs, no shadows, no watermarks, no paged sets and no idle skipping: a
+//! snapshot is a `memcpy` of one row and a merge is a word-wise OR, which
+//! keeps the oracle fast enough for the `engine_equivalence` property tests
+//! to cross 10³–10⁴ nodes.  It never consults [`Protocol::activity`], so
+//! the engine's event-driven scheduler is pinned against a run that elides
+//! nothing.
 //!
-//! Like the reference engine it draws each node's per-round RNG from
-//! [`decision_rng`]`(seed, round, node)`, keeping protocol decisions
-//! byte-aligned with the rewritten engine at any thread count.  Reports
-//! compare via [`RunReport::semantics`](crate::RunReport::semantics) (the
-//! oracle reports no memory counters).
+//! It draws each node's per-round RNG from [`decision_rng`]`(seed, round,
+//! node)`, keeping protocol decisions byte-aligned with the engine at any
+//! thread count.  Reports compare via
+//! [`RunReport::semantics`](crate::RunReport::semantics) (the oracle reports
+//! no memory counters).
 //!
 //! This module is exported for the test suites and benchmarks; it is not
 //! part of the supported API surface.
@@ -117,19 +120,16 @@ impl<'g> OracleSimulation<'g> {
     }
 
     /// Merges the dense `snapshot` into node `dst`, keeping the row, the
-    /// paged mirror and the popcount in sync.  Returns `true` if anything
-    /// new arrived.
+    /// paged mirror and the popcount in sync.
     // gossip-lint: allow(panic-path): rows/sets/counts are sized n at construction; node ids are dense
-    fn merge_snapshot(&mut self, dst: NodeId, snapshot: &[u64]) -> bool {
+    fn merge_snapshot(&mut self, dst: NodeId, snapshot: &[u64]) {
         let i = dst.index();
         let row = &mut self.rows[i * self.stride..(i + 1) * self.stride];
-        let mut changed = false;
         for (w, (word, &snap)) in row.iter_mut().zip(snapshot).enumerate() {
             let new = snap & !*word;
             if new == 0 {
                 continue;
             }
-            changed = true;
             *word |= new;
             self.counts[i] += new.count_ones() as usize;
             let mut bits = new;
@@ -139,12 +139,10 @@ impl<'g> OracleSimulation<'g> {
                 self.sets[i].insert(RumorId::from(w * 64 + b));
             }
         }
-        changed
     }
 
     /// Runs `protocol` with snapshot-at-initiation semantics over the dense
-    /// rows; the structure is a line-for-line port of
-    /// [`ReferenceSimulation::run`](crate::reference::ReferenceSimulation::run).
+    /// rows, walking every round and asking every alive node.
     // gossip-lint: allow(panic-path): node/edge indices come from the graph's own CSR bounds
     pub fn run<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
         let n = self.graph.node_count();
@@ -420,8 +418,8 @@ impl<'g> OracleSimulation<'g> {
                         [target.index() * stride..(target.index() + 1) * stride]
                         .to_vec(),
                     // Drawn exactly once per *accepted* initiation, from the
-                    // dedicated loss stream — the same call points as both
-                    // other engines, keeping the streams aligned.
+                    // dedicated loss stream — the same call points as the
+                    // engine, keeping the streams aligned.
                     lost: fault::draw_loss(&mut loss),
                 });
             }

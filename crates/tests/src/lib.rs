@@ -13,6 +13,10 @@
 
 use std::path::PathBuf;
 
+use gossip_graph::Graph;
+use gossip_sim::oracle::OracleSimulation;
+use gossip_sim::{Protocol, RunReport, SimConfig, Simulation};
+
 /// Locates a compiled example binary next to the running test executable.
 ///
 /// Under `cargo test`, integration-test binaries live in
@@ -27,6 +31,49 @@ pub fn example_binary(name: &str) -> Option<PathBuf> {
         .join("examples")
         .join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     candidate.is_file().then_some(candidate)
+}
+
+/// Runs one protocol under one config on the engine ([`Simulation::run`])
+/// and on the dense-bitset [`OracleSimulation`] specification, requiring
+/// identical semantic reports and identical final rumor sets; returns the
+/// engine's report.
+///
+/// Reports are compared through [`RunReport::semantics`]: the engine fills
+/// in [`MemStats`](gossip_sim::MemStats) diagnostics the oracle (by design)
+/// does not have; every other field must be byte-identical.  The oracle
+/// never consults [`Protocol::activity`] and walks every round, so a match
+/// also pins the engine's idle skipping and fast-forward.
+///
+/// # Panics
+///
+/// Panics, naming `label`, on any mismatch.
+pub fn assert_matches_oracle<P: Protocol>(
+    g: &Graph,
+    config: &SimConfig,
+    mut make_protocol: impl FnMut() -> P,
+    label: &str,
+) -> RunReport {
+    let mut sim = Simulation::new(g, config.clone());
+    let report = sim.run(&mut make_protocol());
+
+    let mut oracle = OracleSimulation::new(g, config.clone());
+    let oracle_report = oracle.run(&mut make_protocol());
+
+    assert!(
+        report.mem.is_some() && oracle_report.mem.is_none(),
+        "the engine reports memory diagnostics, the oracle does not: {label}"
+    );
+    assert_eq!(
+        report.semantics(),
+        oracle_report.semantics(),
+        "report mismatch: {label}"
+    );
+    assert_eq!(
+        sim.into_rumors(),
+        oracle.into_rumor_sets(),
+        "rumor-state mismatch: {label}"
+    );
+    report
 }
 
 /// An Erdős–Rényi core with a star hub attached, under the sweep's slow-link
@@ -44,7 +91,7 @@ pub fn example_binary(name: &str) -> Option<PathBuf> {
 /// # Panics
 ///
 /// Panics if `core` is zero (the generators reject it).
-pub fn expander_with_star_hub(core: usize, leaves: usize, seed: u64) -> gossip_graph::Graph {
+pub fn expander_with_star_hub(core: usize, leaves: usize, seed: u64) -> Graph {
     use gossip_graph::latency::LatencyScheme;
     use gossip_graph::GraphBuilder;
     use rand::SeedableRng;
