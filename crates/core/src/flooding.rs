@@ -10,7 +10,7 @@ use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
 use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
 
-use crate::DisseminationReport;
+use crate::{round_cap, DisseminationReport};
 
 /// One-to-all dissemination from `source` by round-robin flooding.
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
@@ -19,13 +19,7 @@ pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
         .track_rumor(RumorId::of_node(source))
         .max_rounds(round_cap(g));
     let report = Simulation::new(g, config).run(&mut RoundRobinFlood::new(g));
-    DisseminationReport::single(
-        "flooding",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    DisseminationReport::from_run("flooding", &report)
 }
 
 /// All-to-all dissemination by round-robin flooding.
@@ -34,20 +28,7 @@ pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
         .termination(Termination::AllKnowAll)
         .max_rounds(round_cap(g));
     let report = Simulation::new(g, config).run(&mut RoundRobinFlood::new(g));
-    DisseminationReport::single(
-        "flooding (all-to-all)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
-}
-
-fn round_cap(g: &Graph) -> u64 {
-    (g.node_count() as u64)
-        .saturating_mul(g.max_latency().max(1))
-        .saturating_mul(4)
-        .max(10_000)
+    DisseminationReport::from_run("flooding (all-to-all)", &report)
 }
 
 #[cfg(test)]

@@ -49,6 +49,16 @@ pub mod unified;
 
 pub use report::{DisseminationReport, Phase};
 
+/// The round cap of the single-phase protocol runs — the push–pull and
+/// flooding wrappers, the sweep's fault-injected cells and the lower-bound
+/// reduction: a generous `n · max(ℓ_max, 1) · 4` rounds, at least 10 000.
+pub fn round_cap(g: &gossip_graph::Graph) -> u64 {
+    (g.node_count() as u64)
+        .saturating_mul(g.max_latency().max(1))
+        .saturating_mul(4)
+        .max(10_000)
+}
+
 /// The "known D" the phase drivers consume: the diameter-bound oracle's
 /// upper bound (exact below [`gossip_graph::metrics::EXACT_DIAMETER_THRESHOLD`],
 /// a constant-sweep bound `≥ D` above it), falling back to the maximum edge

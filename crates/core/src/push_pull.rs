@@ -13,25 +13,19 @@ use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RandomPushPull;
 use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
 
-use crate::DisseminationReport;
+use crate::{round_cap, DisseminationReport};
 
 /// One-to-all dissemination from `source` using push–pull.
 ///
-/// Runs until every node knows the source's rumor (or an internal round cap
-/// proportional to `n · ℓ_max` is hit, in which case `completed` is `false`).
+/// Runs until every node knows the source's rumor (or the [`round_cap`] is
+/// hit, in which case `completed` is `false`).
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
     let config = SimConfig::new(seed)
         .termination(Termination::AllKnowRumorOf(source))
         .track_rumor(RumorId::of_node(source))
         .max_rounds(round_cap(g));
     let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    DisseminationReport::from_run("push-pull", &report)
 }
 
 /// All-to-all dissemination using push–pull: every node starts with its own
@@ -41,13 +35,7 @@ pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
         .termination(Termination::AllKnowAll)
         .max_rounds(round_cap(g));
     let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull (all-to-all)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    DisseminationReport::from_run("push-pull (all-to-all)", &report)
 }
 
 /// Local broadcast via push–pull: run until every node knows the rumor of
@@ -60,21 +48,7 @@ pub fn local_broadcast(g: &Graph, bound: gossip_graph::Latency, seed: u64) -> Di
         .termination(Termination::LocalBroadcast(bound))
         .max_rounds(round_cap(g));
     let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull (local broadcast)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
-}
-
-fn round_cap(g: &Graph) -> u64 {
-    // Generous cap: n rounds per unit of maximum latency, at least 10_000.
-    (g.node_count() as u64)
-        .saturating_mul(g.max_latency().max(1))
-        .saturating_mul(4)
-        .max(10_000)
+    DisseminationReport::from_run("push-pull (local broadcast)", &report)
 }
 
 #[cfg(test)]

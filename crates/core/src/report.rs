@@ -95,6 +95,12 @@ impl DisseminationReport {
         self
     }
 
+    /// The report of one single-phase engine run (the push–pull and
+    /// flooding wrappers), carrying the run's memory diagnostics.
+    pub(crate) fn from_run(algorithm: &str, run: &gossip_sim::RunReport) -> Self {
+        Self::single(algorithm, run.rounds, run.activations, run.completed).with_mem(run.mem)
+    }
+
     /// Rounds spent in the named phase (0 if the phase does not exist).
     pub fn phase_rounds(&self, name: &str) -> u64 {
         self.phases

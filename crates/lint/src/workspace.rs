@@ -81,17 +81,18 @@ impl Default for AuditConfig {
             // The engine's top-level driver and its merge/delivery/calendar
             // internals.  `run`/`run_sharded` reach `run_inner` through a
             // turbofish call (`self.run_inner::<P, D>(..)`) the name-based
-            // call graph cannot see, and `run_inner` dispatches the decision
-            // pass through `D::decide` — so the inner driver and both
-            // decision drivers are roots of their own.
+            // call graph cannot see, and `run_inner` hands the decision pass
+            // to the `decide` phase as the fn pointer `D::decide` — so
+            // `run_inner` and both decision passes (`SerialDecisions`,
+            // `ShardedDecisions`) are roots of their own.
             "Simulation::run",
             "Simulation::run_sharded",
             "Simulation::run_inner",
             "SerialDecisions::decide",
             "ShardedDecisions::decide",
-            "Progress::merge_completions",
-            "Progress::advance_shadow",
-            "Progress::collapse_node",
+            "RunState::merge_completions",
+            "RunState::advance_shadow",
+            "RunState::collapse_node",
             "next_event_round",
             // The sharded merge/decision machinery: shard phase workers, the
             // destination partitioner and the pool fan-out helper (also
@@ -140,8 +141,8 @@ impl Default for AuditConfig {
             // must be panic-free on every seed, so they are roots of their
             // own in addition to being reachable from the engine driver.
             "FaultPlan::random_churn",
-            "Progress::crash_node",
-            "Progress::rejoin_node",
+            "RunState::crash",
+            "RunState::rejoin",
             "AliveView::kill_node",
             "AliveView::revive_node",
             "AliveView::residual_components",

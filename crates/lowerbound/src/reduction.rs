@@ -72,13 +72,9 @@ pub struct ReductionOutcome {
 /// Lemma 8(b)).
 pub fn push_pull_reduction(network: &GadgetNetwork, seed: u64) -> ReductionOutcome {
     let g = &network.graph;
-    let cap = (g.node_count() as u64)
-        .saturating_mul(g.max_latency().max(1))
-        .saturating_mul(4)
-        .max(10_000);
     let config = SimConfig::new(seed)
         .termination(Termination::LocalBroadcast(g.max_latency()))
-        .max_rounds(cap);
+        .max_rounds(gossip_core::round_cap(g));
     let mut protocol = CrossEdgeRecorder {
         inner: RandomPushPull::new(g),
         network,

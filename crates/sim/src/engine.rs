@@ -85,6 +85,37 @@
 //!   latency is a bitset with two bits per edge (one per endpoint); the
 //!   latency itself is read from the graph.
 //!
+//! # Round phases
+//!
+//! [`Simulation::run`] and [`Simulation::run_sharded`] build one per-run
+//! state struct (`RunState`) and drive it through the same phase methods in
+//! every walked round, in this order:
+//!
+//! 1. `apply_faults` opens the round and applies its fault events, before
+//!    anything else: an exchange completing this round but incident to a
+//!    node that crashes now (or riding an edge cut now) is cancelled, never
+//!    delivered, so a crash never double-adjusts a counter a delivery
+//!    already touched.
+//! 2. `advance_shadows` pops the shadow-ring bucket queued one ring lap
+//!    ago (frontier advances and saturation collapses).  It must drain the
+//!    bucket before `deliver` queues this round's growth into it.
+//! 3. `deliver` drains the calendar bucket: watermarks are resolved in
+//!    flight order, merges run in the canonical order (ascending
+//!    destination, flight order within one), and `on_exchange` plus wake
+//!    events follow in flight order.
+//! 4. `is_done` checks termination on the round boundary: after this
+//!    round's deliveries, before its decisions.
+//! 5. `decide` admits woken nodes to the sorted worklist, runs the decision
+//!    pass, and applies the decisions serially in worklist order; new
+//!    flights snapshot rumor counts as of this round's merges.
+//! 6. `fast_forward` advances the clock, jumping an empty worklist to the
+//!    next calendar event but never past a `FixedRounds` target, the round
+//!    cap or the next fault event.  Because `decide` runs after `is_done`,
+//!    it re-checks termination at `round + 1` (a last `on_round` call can
+//!    flip [`Termination::Quiescent`]).
+//!
+//! `finish` builds the [`RunReport`] once the loop stops.
+//!
 //! The executable specification is the dense-bitset
 //! [`OracleSimulation`](crate::oracle::OracleSimulation), which snapshots
 //! both endpoints at initiation and walks every round.  The
@@ -227,8 +258,8 @@ impl SimConfig {
     ///
     /// Purely a wall-clock knob: every shard boundary is resolved by a
     /// deterministic reduction in shard order, so reports are
-    /// **byte-identical for every setting** (pinned by the `engine_threads`
-    /// suite).  Values are clamped to at least 1.
+    /// **byte-identical for every setting** (pinned by the `engine_parallel`
+    /// suite, `tests/engine_parallel.rs`).  Values are clamped to at least 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -742,19 +773,6 @@ enum NodeState {
     Quiescent,
 }
 
-/// Force-wakes a node on a fault event: unlike ordinary wake events (which
-/// only re-activate [`NodeState::Idle`] nodes), fault events re-activate even
-/// [`NodeState::Quiescent`] nodes — see [`Activity::Quiescent`], whose
-/// retirement promise excludes topology changes.  Re-waking an already-woken
-/// node is a no-op (it is already `Active` and queued).
-// gossip-lint: allow(panic-path): node_state is sized n at construction; node ids are dense
-fn force_wake(node_state: &mut [NodeState], woken: &mut Vec<u32>, i: usize) {
-    if node_state[i] != NodeState::Active {
-        node_state[i] = NodeState::Active;
-        woken.push(i as u32);
-    }
-}
-
 /// The next round strictly after `round` at which any calendar bucket fires:
 /// in-flight exchange completions (`calendar`) or queued shadow/collapse
 /// laps (`shadow_ring`).  Both rings map a fire time `t` to bucket
@@ -840,7 +858,7 @@ impl MemCounters {
 /// positions `start..upto` into `dst`'s rumor state.  Resolved serially
 /// against the per-edge watermarks (in flight order), then executed in the
 /// canonical order — ascending `dst`, flight order within one `dst` — by
-/// [`Progress::merge_completions`].
+/// [`RunState::merge_completions`].
 #[derive(Debug, Clone, Copy)]
 struct MergeTask {
     dst: u32,
@@ -1017,34 +1035,50 @@ fn merge_shard_phase_a(
     out
 }
 
-/// Phase B of the sharded completion merge: appends each destination's new
-/// round segment to its acquisition log and folds every termination counter
-/// the segment touches into a per-shard delta.  The shard's `logs` /
-/// `counts` / `informed_times` slices start at destination `base`; `rumors`
-/// is the full slice, only read (for the per-destination universe).
-#[allow(clippy::too_many_arguments)]
-// gossip-lint: allow(panic-path): segment indices are bounded by the shard partition invariants
-fn merge_shard_phase_b(
-    new: &MergeShardNew,
-    base: usize,
-    rumors: &[RumorSet],
-    logs: &mut [AcquisitionLog],
-    counts: &mut [usize],
-    mut informed_times: Option<&mut [Option<u64>]>,
-    graph: &Graph,
-    alive: Option<&AliveView>,
+/// The read-only context merge phase B shares across its shards: the
+/// termination targets it settles and the liveness it quantifies over.
+struct MergeCtx<'a> {
+    graph: &'a Graph,
+    alive: Option<&'a AliveView>,
+    /// Every node's rumor set (for the per-destination universe).
+    rumors: &'a [RumorSet],
     source_rumor: Option<RumorId>,
     tracked: Option<RumorId>,
     lb_bound: Option<Latency>,
     round: u64,
+}
+
+/// `true` while the local-broadcast obligation counts the pairs across
+/// edge `e`: the edge is fast (latency at most `bound`) and usable (un-cut,
+/// both endpoints alive).  Crash, rejoin and cut events retire or re-enter
+/// such pairs eagerly, so a merge only ever settles pairs still counted.
+fn lb_counts_edge(graph: &Graph, alive: Option<&AliveView>, bound: Latency, e: EdgeId) -> bool {
+    graph.latency(e) <= bound && alive.is_none_or(|a| a.edge_usable(graph, e))
+}
+
+/// Phase B of the sharded completion merge: appends each destination's new
+/// round segment to its acquisition log and folds every termination counter
+/// the segment touches into a per-shard delta.  The shard's `logs` /
+/// `counts` / `informed_times` slices start at destination `base`.
+// gossip-lint: allow(panic-path): segment indices are bounded by the shard partition invariants
+fn merge_shard_phase_b(
+    new: &MergeShardNew,
+    ctx: &MergeCtx<'_>,
+    base: usize,
+    logs: &mut [AcquisitionLog],
+    counts: &mut [usize],
+    mut informed_times: Option<&mut [Option<u64>]>,
 ) -> MergeShardDelta {
+    let MergeCtx {
+        graph,
+        alive,
+        rumors,
+        source_rumor,
+        tracked,
+        lb_bound,
+        round,
+    } = *ctx;
     let mut delta = MergeShardDelta::default();
-    // A `(dst, w)` local-broadcast pair is only outstanding — and was only
-    // counted — while `w` is alive and the edge un-cut (crash/cut events
-    // retire such pairs eagerly).
-    let lb_pair = |w: NodeId, e: EdgeId, bound: Latency| {
-        graph.latency(e) <= bound && alive.is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
-    };
     let (mut run_cursor, mut word_cursor) = (0usize, 0usize);
     for &segment in &new.segments {
         let dst = match segment {
@@ -1074,8 +1108,7 @@ fn merge_shard_phase_b(
                         for j in first.index()..(first.index() + len as usize).min(node_count) {
                             if let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w)
                             {
-                                let (w, e) = nbrs[pos];
-                                if lb_pair(w, e, bound) {
+                                if lb_counts_edge(graph, alive, bound, nbrs[pos].1) {
                                     delta.lb_deficit_sub += 1;
                                 }
                             }
@@ -1096,7 +1129,7 @@ fn merge_shard_phase_b(
                 knows_tracked = tracked.is_some_and(in_bits);
                 if let Some(bound) = lb_bound {
                     for &(w, e) in graph.neighbor_slice(NodeId::new(di)) {
-                        if bit_set(bits, w.index()) && lb_pair(w, e, bound) {
+                        if bit_set(bits, w.index()) && lb_counts_edge(graph, alive, bound, e) {
                             delta.lb_deficit_sub += 1;
                         }
                     }
@@ -1166,11 +1199,142 @@ fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R +
         .install(|| jobs.into_par_iter().map(f).collect())
 }
 
-/// Incrementally maintained dissemination state: round-segment acquisition
-/// logs, delayed bitset shadows, plus the counters that make every
-/// termination check `O(1)`.
-struct Progress<'g> {
-    graph: &'g Graph,
+/// Splits `slice` into consecutive pieces ending at the absolute indices
+/// `ends` (ascending, the last one `slice.len()`).
+fn split_at_ends<'a, T>(mut rest: &'a mut [T], ends: &[usize]) -> Vec<&'a mut [T]> {
+    let mut pieces = Vec::with_capacity(ends.len());
+    let mut base = 0usize;
+    for &end in ends {
+        let (piece, tail) = rest.split_at_mut(end - base);
+        pieces.push(piece);
+        rest = tail;
+        base = end;
+    }
+    pieces
+}
+
+/// Counters of applied fault events (the injection half of
+/// [`FaultReport`]; the degradation half is computed from final state).
+#[derive(Default)]
+struct FaultTally {
+    crashes: u64,
+    rejoins: u64,
+    links_cut: u64,
+    cancelled: u64,
+    lost: u64,
+}
+
+/// The event-driven scheduler: which nodes the decision pass asks.
+struct Scheduler {
+    /// Per-node scheduling state.
+    state: Vec<NodeState>,
+    /// The active nodes, sorted: ascending node order keeps protocol calls
+    /// — and therefore RNG draws — in exactly the order of the historical
+    /// all-nodes sweep.
+    worklist: Vec<u32>,
+    /// Nodes woken this round, merged into the worklist before the next
+    /// decision pass.
+    woken: Vec<u32>,
+    /// Scratch buffer of that merge.
+    merge_buf: Vec<u32>,
+    /// Largest worklist seen.  Every node starts in the worklist, so the
+    /// peak is at least `n` even for runs that complete before their first
+    /// decision pass (keeps the `active_peak >= active_final` invariant).
+    active_peak: u64,
+}
+
+impl Scheduler {
+    fn new(n: usize) -> Self {
+        Scheduler {
+            state: vec![NodeState::Active; n],
+            worklist: (0..n as u32).collect(),
+            woken: Vec::new(),
+            merge_buf: Vec::new(),
+            active_peak: n as u64,
+        }
+    }
+
+    /// An ordinary wake event at node `i` (see [`Activity::IdleUntilWoken`]):
+    /// re-activates the node if it is idle; quiescent nodes stay retired.
+    // gossip-lint: allow(panic-path): state is sized n at construction; node ids are dense
+    fn wake(&mut self, i: usize) {
+        if self.state[i] == NodeState::Idle {
+            self.state[i] = NodeState::Active;
+            self.woken.push(i as u32);
+        }
+    }
+
+    /// A fault wake event at node `i`: unlike [`wake`](Self::wake), it
+    /// re-activates even [`NodeState::Quiescent`] nodes — see
+    /// [`Activity::Quiescent`], whose retirement promise excludes topology
+    /// changes.  Re-waking an already-woken node is a no-op (it is already
+    /// `Active` and queued).
+    // gossip-lint: allow(panic-path): state is sized n at construction; node ids are dense
+    fn force_wake(&mut self, i: usize) {
+        if self.state[i] != NodeState::Active {
+            self.state[i] = NodeState::Active;
+            self.woken.push(i as u32);
+        }
+    }
+
+    /// Merges the woken nodes into the worklist, keeping it sorted so
+    /// decisions stay in ascending node order (wakes arrive in event order
+    /// and may repeat across a node's two endpoints' events, hence sort +
+    /// dedup).
+    // gossip-lint: allow(panic-path): a and b are only indexed while strictly below the lengths they are compared against
+    fn admit_woken(&mut self) {
+        if !self.woken.is_empty() {
+            let (worklist, woken, merged) = (&self.worklist, &mut self.woken, &mut self.merge_buf);
+            woken.sort_unstable();
+            woken.dedup();
+            merged.clear();
+            merged.reserve(worklist.len() + woken.len());
+            let (mut a, mut b) = (0, 0);
+            while a < worklist.len() && b < woken.len() {
+                // The `Equal` arm matters under faults: a node that crashed
+                // and rejoined in the same round is still in the stale
+                // worklist *and* in `woken` — emitting it twice would double
+                // its `on_round` call and desynchronise the RNG.
+                match worklist[a].cmp(&woken[b]) {
+                    std::cmp::Ordering::Less => {
+                        merged.push(worklist[a]);
+                        a += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        merged.push(woken[b]);
+                        b += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        merged.push(worklist[a]);
+                        a += 1;
+                        b += 1;
+                    }
+                }
+            }
+            merged.extend_from_slice(&worklist[a..]);
+            merged.extend_from_slice(&woken[b..]);
+            std::mem::swap(&mut self.worklist, &mut self.merge_buf);
+            self.woken.clear();
+        }
+        self.active_peak = self.active_peak.max(self.worklist.len() as u64);
+    }
+}
+
+/// Everything one run owns or borrows, with the round's phases as methods
+/// (see "Round phases" in the module docs): the dissemination state —
+/// round-segment acquisition logs, delayed bitset shadows, and the counters
+/// that make every termination check `O(1)` — plus the calendar, the
+/// scheduler and the fault machinery.
+struct RunState<'a> {
+    graph: &'a Graph,
+    config: &'a SimConfig,
+    rumors: &'a mut [RumorSet],
+    /// The current round.
+    round: u64,
+    threads: usize,
+    /// Length of both calendar rings: `max_latency + 1`.
+    ring_len: usize,
+
     /// Per-node acquisition log: every rumor the node knows, one round
     /// segment per merge phase (interval runs or bitset words), truncated
     /// behind the shadow frontier.
@@ -1214,22 +1378,55 @@ struct Progress<'g> {
     /// ([`FaultReport::recovery_latency`]).
     recovery_latency: Option<u64>,
     mem: MemCounters,
+
+    /// Calendar queue: `completes_at % ring_len` addresses the bucket of
+    /// exchanges completing at `completes_at`.  Latencies are in
+    /// `1..=max_latency`, so at any instant the live completion times occupy
+    /// distinct buckets.
+    calendar: Vec<Vec<Flight>>,
+    in_flight_count: usize,
+    /// Shadow-advancement calendar: a node whose rumor count changed in
+    /// round `r` is queued with its end-of-round count (and fault epoch),
+    /// and popped `ring_len` rounds later — by then every snapshot still in
+    /// flight was taken *after* round `r`, so the frontier may move there.
+    shadow_ring: Vec<Vec<(u32, u32, u32)>>,
+    /// Per-edge merge watermarks: how much of `v`'s log `u` has already
+    /// merged over this edge (`[0]`) and vice versa (`[1]`).
+    watermarks: Vec<[u32; 2]>,
+    discovered: DiscoveredLatencies,
+    /// Per-node count of initiated exchanges still in flight.
+    pending_own: Vec<usize>,
+    activations: u64,
+    rejections: u64,
+    /// Per-round scratch: the delivery's merge tasks, the destinations
+    /// they changed, and the decision pass's outcomes.
+    merge_tasks: Vec<MergeTask>,
+    changed_dsts: Vec<u32>,
+    decides: Vec<Decide>,
+    sched: Scheduler,
+    rounds_simulated: u64,
+    rounds_skipped: u64,
+
+    /// The plan's events, in round order (empty without a plan — fault-free
+    /// runs pay nothing beyond a few predictable branches).
+    fault_events: &'a [(u64, FaultEvent)],
+    /// Index of the first event not yet applied.
+    fault_cursor: usize,
+    fault_tally: FaultTally,
+    loss: Option<(SmallRng, u32)>,
+    /// Liveness of nodes and edges, present exactly under a fault plan.
+    alive: Option<AliveView>,
+    /// Per-node fault epoch: shadow-ring entries carry the epoch at queue
+    /// time, and a crash or rejoin bumps it — stale entries (whose log
+    /// positions refer to a freed or reset log) are dropped on pop.  Empty
+    /// without a plan.
+    epoch: Vec<u32>,
 }
 
-/// Counters of applied fault events (the injection half of
-/// [`FaultReport`]; the degradation half is computed from final state).
-#[derive(Default)]
-struct FaultTally {
-    crashes: u64,
-    rejoins: u64,
-    links_cut: u64,
-    cancelled: u64,
-    lost: u64,
-}
-
-impl<'g> Progress<'g> {
-    // gossip-lint: allow(panic-path): initial rumor vec length is asserted to equal n
-    fn new(graph: &'g Graph, config: &SimConfig, rumors: &[RumorSet]) -> Self {
+impl<'a> RunState<'a> {
+    // gossip-lint: allow(panic-path): the rumor vec holds one set per node (checked by the constructors), and node ids are dense
+    fn new(graph: &'a Graph, config: &'a SimConfig, rumors: &'a mut [RumorSet]) -> Self {
+        let n = rumors.len();
         let source_rumor = match config.termination {
             Termination::AllKnowRumorOf(source) => Some(RumorId::of_node(source)),
             _ => None,
@@ -1238,26 +1435,17 @@ impl<'g> Progress<'g> {
             Termination::LocalBroadcast(bound) => Some(bound),
             _ => None,
         };
-        let lb_deficit = lb_bound.map_or(0, |bound| {
-            graph
-                .nodes()
-                .map(|v| {
-                    graph
-                        .neighbors(v)
-                        .filter(|&(w, e)| {
-                            graph.latency(e) <= bound
-                                && !rumors[v.index()].contains(RumorId::of_node(w))
-                        })
-                        .count() as u64
-                })
-                .sum()
-        });
         let logs: Vec<AcquisitionLog> = rumors.iter().map(AcquisitionLog::from_set).collect();
         let live_runs: u64 = logs.iter().map(|l| l.retained_runs() as u64).sum();
         let pages_live: u64 = rumors.iter().map(|s| s.live_pages() as u64).sum();
-        let n = rumors.len();
-        Progress {
+        let plan = config.faults.as_ref();
+        let ring_len = graph.max_latency() as usize + 1;
+        let mut run = RunState {
             graph,
+            config,
+            round: 0,
+            threads: config.threads.max(1),
+            ring_len,
             logs,
             shadows: vec![Vec::new(); n],
             shadow_len: vec![0; n],
@@ -1268,7 +1456,7 @@ impl<'g> Progress<'g> {
             source_known_by: source_rumor
                 .map_or(0, |r| rumors.iter().filter(|s| s.contains(r)).count()),
             lb_bound,
-            lb_deficit,
+            lb_deficit: 0,
             tracked: config.tracked_rumor,
             informed_times: match config.tracked_rumor {
                 Some(r) => rumors
@@ -1286,14 +1474,532 @@ impl<'g> Progress<'g> {
                 pages_peak: pages_live,
                 ..MemCounters::default()
             },
+            rumors,
+            calendar: (0..ring_len).map(|_| Vec::new()).collect(),
+            in_flight_count: 0,
+            shadow_ring: (0..ring_len).map(|_| Vec::new()).collect(),
+            watermarks: vec![[0, 0]; graph.edge_count()],
+            discovered: DiscoveredLatencies::new(graph.edge_count()),
+            pending_own: vec![0; n],
+            activations: 0,
+            rejections: 0,
+            merge_tasks: Vec::new(),
+            changed_dsts: Vec::new(),
+            decides: Vec::new(),
+            sched: Scheduler::new(n),
+            rounds_simulated: 0,
+            rounds_skipped: 0,
+            fault_events: plan.map_or(&[], FaultPlan::events),
+            fault_cursor: 0,
+            fault_tally: FaultTally::default(),
+            loss: plan.and_then(FaultPlan::loss_stream),
+            alive: plan.map(|_| AliveView::new(graph)),
+            epoch: if plan.is_some() {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
+        };
+        run.lb_deficit = (0..graph.edge_count())
+            .map(|e| run.lb_open_across(EdgeId::new(e)))
+            .sum();
+        // Nodes that start fully saturated (trivial universes, pre-seeded
+        // states) have no outstanding snapshots at all: collapse immediately.
+        for i in 0..n {
+            if run.counts[i] >= run.rumors[i].universe() {
+                run.collapse_node(i);
+            }
+        }
+        run
+    }
+
+    /// Phase 1: opens the round (it counts as walked) and applies the fault
+    /// events scheduled for it.  Runs *before* shadow advances and
+    /// deliveries, so an exchange completing this very round but incident
+    /// to a node that crashes now (or riding an edge cut now) is cancelled,
+    /// never delivered; a crash therefore can never double-adjust a counter
+    /// a delivery already touched.
+    fn apply_faults(&mut self) {
+        self.rounds_simulated += 1;
+        while let Some(&(at, event)) = self.fault_events.get(self.fault_cursor) {
+            if at > self.round {
+                break;
+            }
+            self.fault_cursor += 1;
+            // Each handler ignores an event that changes nothing (crashing
+            // a dead node, reviving an alive one, cutting a cut edge); such
+            // events are not counted.
+            match event {
+                FaultEvent::Crash(v) => self.crash(v),
+                FaultEvent::Rejoin(v) => self.rejoin(v),
+                FaultEvent::CutLink(e) => self.cut(e),
+            }
         }
     }
 
-    /// Executes a delivery phase's resolved merge tasks in the **canonical
-    /// merge order** — ascending destination, flight order within one
-    /// destination — sharded by destination across `threads` workers on the
-    /// vendored rayon pool.  Pushes every destination that learned at least
-    /// one rumor onto `changed`, ascending.
+    // gossip-lint: allow(panic-path): fault events exist only under a plan, and a plan always builds the alive view
+    fn alive_mut(&mut self) -> &mut AliveView {
+        self.alive
+            .as_mut()
+            .expect("fault events imply an alive view")
+    }
+
+    fn is_alive(&self, v: NodeId) -> bool {
+        self.alive.as_ref().is_none_or(|a| a.is_node_alive(v))
+    }
+
+    /// Crash-stop of `v`: cancels every flight touching it (a surviving
+    /// initiator gets its slot back), retires it from every termination
+    /// counter, frees its history (a dead node is never merged from again),
+    /// and force-wakes its alive neighbors.
+    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
+    fn crash(&mut self, v: NodeId) {
+        let graph = self.graph;
+        // Pairs across v's edges leave the local-broadcast obligation:
+        // count them while v is still alive.
+        let open: u64 = graph
+            .neighbors(v)
+            .map(|(_, e)| self.lb_open_across(e))
+            .sum();
+        if !self.alive_mut().kill_node(graph, v) {
+            return;
+        }
+        self.fault_tally.crashes += 1;
+        self.lb_deficit -= open;
+        self.cancel_flights(|fl| fl.initiator == v || fl.responder == v);
+        let i = v.index();
+        self.pending_own[i] = 0;
+        if self.counts[i] >= self.rumors[i].universe() {
+            self.full_nodes -= 1;
+        }
+        if self
+            .source_rumor
+            .is_some_and(|r| self.rumors[i].contains(r))
+        {
+            self.source_known_by -= 1;
+        }
+        self.release_history(i, None);
+        // Crashed again before recovering: it never recovers from *this*
+        // rejoin (a future rejoin starts a fresh recovery clock).
+        self.pending_recovery.retain(|&(w, _)| w as usize != i);
+        self.epoch[i] = self.epoch[i].wrapping_add(1);
+        self.sched.state[i] = NodeState::Quiescent;
+        self.force_wake_alive(graph.neighbors(v).map(|(w, _)| w));
+    }
+
+    /// Amnesiac rejoin of `v`: resets it to a fresh singleton rumor state
+    /// (fresh log, no shadow, not collapsed), re-enters it into every
+    /// termination counter, starts its re-dissemination recovery clock, and
+    /// force-wakes it and its alive neighbors.
+    // gossip-lint: allow(panic-path): per-node vecs are sized n and per-edge vecs edge_count at construction; ids are dense
+    fn rejoin(&mut self, v: NodeId) {
+        let graph = self.graph;
+        if !self.alive_mut().revive_node(graph, v) {
+            return;
+        }
+        self.fault_tally.rejoins += 1;
+        // Zero *both* directions of every incident watermark (the peer's
+        // stale high-water mark would otherwise skip the fresh log's prefix,
+        // and v must re-merge everything), and forget v's discovered
+        // latencies.
+        for (_, e) in graph.neighbors(v) {
+            self.watermarks[e.index()] = [0, 0];
+            self.discovered.unmark(e, graph.edge(e).v == v);
+        }
+        let i = v.index();
+        let universe = self.rumors[i].universe();
+        let pages_before = self.rumors[i].live_pages();
+        self.rumors[i] = RumorSet::singleton(universe, RumorId::of_node(v));
+        self.mem
+            .record_page_delta(pages_before, self.rumors[i].live_pages());
+        self.release_history(i, Some(AcquisitionLog::from_set(&self.rumors[i])));
+        self.collapsed[i] = false;
+        self.counts[i] = self.rumors[i].len();
+        if self.counts[i] >= universe {
+            self.full_nodes += 1;
+        }
+        if self
+            .source_rumor
+            .is_some_and(|r| self.rumors[i].contains(r))
+        {
+            self.source_known_by += 1;
+        }
+        if self.tracked.is_some_and(|r| self.rumors[i].contains(r))
+            && self.informed_times[i].is_none()
+        {
+            self.informed_times[i] = Some(self.round);
+        }
+        // v forgot its neighbors' rumors, and they still hold its (identical)
+        // rumor or not: re-count both directions from the actual sets.
+        self.lb_deficit += graph
+            .neighbors(v)
+            .map(|(_, e)| self.lb_open_across(e))
+            .sum::<u64>();
+        if self.recovered(i) {
+            self.note_recovery(0);
+        } else {
+            self.pending_recovery.push((i as u32, self.round));
+        }
+        self.epoch[i] = self.epoch[i].wrapping_add(1);
+        self.force_wake_alive(std::iter::once(v).chain(graph.neighbors(v).map(|(w, _)| w)));
+    }
+
+    /// Cuts edge `e` for good: cancels the flights riding it and force-wakes
+    /// its alive endpoints.
+    fn cut(&mut self, e: EdgeId) {
+        let graph = self.graph;
+        // The edge's pairs leave the local-broadcast obligation: count them
+        // while it is still un-cut.
+        let open = self.lb_open_across(e);
+        if !self.alive_mut().cut_edge(graph, e) {
+            return;
+        }
+        self.fault_tally.links_cut += 1;
+        self.lb_deficit -= open;
+        self.cancel_flights(|fl| fl.edge == e);
+        let rec = graph.edge(e);
+        self.force_wake_alive([rec.u, rec.v]);
+    }
+
+    /// Cancels every in-flight exchange `doomed` selects.  An initiator
+    /// that is still alive gets its slot back and is force-woken (its
+    /// `pending_own` / Blocking-mode `can_initiate` state changed).
+    // gossip-lint: allow(panic-path): pending_own is sized n at construction; node ids are dense
+    fn cancel_flights(&mut self, doomed: impl Fn(&Flight) -> bool) {
+        let RunState {
+            calendar,
+            in_flight_count,
+            fault_tally,
+            pending_own,
+            sched,
+            alive,
+            ..
+        } = self;
+        for flights in calendar.iter_mut() {
+            flights.retain(|fl| {
+                if !doomed(fl) {
+                    return true;
+                }
+                fault_tally.cancelled += 1;
+                *in_flight_count -= 1;
+                if alive.as_ref().is_none_or(|a| a.is_node_alive(fl.initiator)) {
+                    let i = fl.initiator.index();
+                    pending_own[i] = pending_own[i].saturating_sub(1);
+                    sched.force_wake(i);
+                }
+                false
+            });
+        }
+    }
+
+    /// Force-wakes every node of `nodes` that is alive.
+    fn force_wake_alive(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        for w in nodes {
+            if self.is_alive(w) {
+                self.sched.force_wake(w.index());
+            }
+        }
+    }
+
+    /// How many directions of the local-broadcast pair across edge `e` are
+    /// still open: none unless the obligation counts the edge (see
+    /// [`lb_counts_edge`]), else one per endpoint that does not know the
+    /// other's rumor yet.
+    // gossip-lint: allow(panic-path): edge endpoints are nodes of the same graph, and the rumor vec holds one set per node
+    fn lb_open_across(&self, e: EdgeId) -> u64 {
+        let Some(bound) = self.lb_bound else {
+            return 0;
+        };
+        if !lb_counts_edge(self.graph, self.alive.as_ref(), bound, e) {
+            return 0;
+        }
+        let rec = self.graph.edge(e);
+        let misses =
+            |a: NodeId, b: NodeId| u64::from(!self.rumors[a.index()].contains(RumorId::of_node(b)));
+        misses(rec.u, rec.v) + misses(rec.v, rec.u)
+    }
+
+    /// Frees node `i`'s history — its retained log and its shadow — and,
+    /// on a rejoin, installs the `fresh` log in its place.  The shadow
+    /// frontier moves to the first entry the log still retains: nothing
+    /// below it is held anywhere any more.
+    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
+    fn release_history(&mut self, i: usize, fresh: Option<AcquisitionLog>) {
+        let freed = self.logs[i].truncate_all() as u64;
+        self.mem.live_runs -= freed;
+        self.mem.truncated_runs += freed;
+        self.mem.shadow_words_live -= std::mem::take(&mut self.shadows[i]).len() as u64;
+        if let Some(log) = fresh {
+            self.mem.live_runs += log.retained_runs() as u64;
+            self.mem.peak_runs = self.mem.peak_runs.max(self.mem.live_runs);
+            self.logs[i] = log;
+        }
+        self.shadow_len[i] = self.logs[i].front();
+    }
+
+    /// Saturation collapse of `node`: frees its history and marks it
+    /// collapsed so merges from it serve "the full universe" in
+    /// `O(dst pages)`.
+    ///
+    /// Sound only when every possibly-outstanding snapshot of the node
+    /// covers the whole universe — the callers guarantee it (one calendar
+    /// lap after saturation, or at initialisation when nothing is in
+    /// flight).  Its rumor set needs no action: [`RumorSet`] collapsed it to
+    /// the canonical page-free full representation the moment it saturated.
+    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
+    fn collapse_node(&mut self, node: usize) {
+        debug_assert!(!self.collapsed[node]);
+        self.release_history(node, None);
+        self.collapsed[node] = true;
+        self.mem.collapsed_nodes += 1;
+    }
+
+    /// Whether rejoined node `i` holds what it must re-learn to count as
+    /// *recovered*: the tracked rumor if any, else the `AllKnowRumorOf`
+    /// source rumor, else its whole set.
+    // gossip-lint: allow(panic-path): the rumor vec holds one set per node; node ids are dense
+    fn recovered(&self, i: usize) -> bool {
+        match self.tracked.or(self.source_rumor) {
+            Some(r) => self.rumors[i].contains(r),
+            None => self.rumors[i].is_full(),
+        }
+    }
+
+    /// If `node` is awaiting recovery and now holds its target, records the
+    /// re-dissemination latency and stops tracking it.
+    fn check_recovery(&mut self, node: usize) {
+        let Some(pos) = self
+            .pending_recovery
+            .iter()
+            .position(|&(v, _)| v as usize == node)
+        else {
+            return;
+        };
+        if self.recovered(node) {
+            let (_, since) = self.pending_recovery.swap_remove(pos);
+            self.note_recovery(self.round - since);
+        }
+    }
+
+    /// Folds one recovered rejoiner's latency into the worst-case aggregate.
+    fn note_recovery(&mut self, latency: u64) {
+        self.recovery_latency = Some(
+            self.recovery_latency
+                .map_or(latency, |cur| cur.max(latency)),
+        );
+    }
+
+    /// The node's fault epoch (always 0 without a fault plan).
+    fn epoch_of(&self, node: usize) -> u32 {
+        self.epoch.get(node).copied().unwrap_or(0)
+    }
+
+    /// Phase 2: advances the shadow frontiers queued `ring_len` rounds ago
+    /// and truncates the logs behind them.  Must drain the ring bucket
+    /// before [`deliver`](Self::deliver) queues this round's growth into it.
+    /// Entries queued before their node crashed or rejoined are dropped:
+    /// their target refers to a freed or reset log.  A finished
+    /// saturation-collapse lap is a wake event (see
+    /// [`Activity::IdleUntilWoken`]).
+    // gossip-lint: allow(panic-path): ring_len >= 1 (max latency + 1) bounds the bucket; node ids in the ring are dense
+    fn advance_shadows(&mut self) {
+        let bucket = self.round as usize % self.ring_len;
+        let mut advances = std::mem::take(&mut self.shadow_ring[bucket]);
+        for (node, target, entry_epoch) in advances.drain(..) {
+            let i = node as usize;
+            if self.epoch_of(i) != entry_epoch {
+                continue;
+            }
+            let was_collapsed = self.collapsed[i];
+            self.advance_shadow(i, target);
+            if !was_collapsed && self.collapsed[i] {
+                self.sched.wake(i);
+            }
+        }
+        self.shadow_ring[bucket] = advances; // keep the bucket's capacity
+    }
+
+    /// Advances `node`'s shadow frontier to log position `target` (its rumor
+    /// count as of `ring_len` rounds ago — at or behind every snapshot that
+    /// can still be in flight), then truncates the log behind the frontier.
+    ///
+    /// The shadow bitset is materialised lazily: until at least
+    /// [`SimConfig::shadow_compaction`] log storage units would be
+    /// reclaimed, advancing is skipped entirely — the retained log *is* the
+    /// prefix, and stays small.  Word segments fold into the shadow by OR.
+    ///
+    /// Saturated nodes take the **collapse** path instead: once the queued
+    /// target reaches the full universe — i.e. one whole calendar lap has
+    /// passed since the node's set went full, so every snapshot of it still
+    /// in flight covers everything — the node collapses
+    /// ([`collapse_node`](Self::collapse_node)).  While a saturated node
+    /// waits for that lap, ordinary advances are skipped (no point
+    /// materialising a shadow the collapse is about to free).
+    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
+    fn advance_shadow(&mut self, node: usize, target: u32) {
+        if self.collapsed[node] {
+            return;
+        }
+        let universe = self.rumors[node].universe();
+        if self.counts[node] >= universe {
+            if target as usize == universe {
+                self.collapse_node(node);
+            }
+            return;
+        }
+        let current = self.shadow_len[node];
+        if target <= current {
+            return;
+        }
+        if self.shadows[node].is_empty() {
+            if self.logs[node].runs_entirely_below(target) < self.config.shadow_min_truncate_runs {
+                return;
+            }
+            let words = vec![0u64; self.rumors[node].word_count()];
+            self.mem.shadow_words_live += words.len() as u64;
+            self.mem.shadow_words_peak = self.mem.shadow_words_peak.max(self.mem.shadow_words_live);
+            self.shadows[node] = words;
+        }
+        let shadow = &mut self.shadows[node];
+        self.logs[node].for_each_piece(current, target, |piece| match piece {
+            LogPiece::Run(first, len) => {
+                rumor::set_words_range(shadow, first.index(), len as usize);
+            }
+            LogPiece::Words(words) => {
+                for (s, &w) in shadow.iter_mut().zip(words) {
+                    *s |= w;
+                }
+            }
+        });
+        self.shadow_len[node] = target;
+        let freed = self.logs[node].truncate_below(target) as u64;
+        self.mem.live_runs -= freed;
+        self.mem.truncated_runs += freed;
+        self.mem.shadow_advances += 1;
+    }
+
+    /// Phase 3: delivers the exchanges completing at the start of this
+    /// round.  A serial prologue in flight order resolves each flight (see
+    /// [`resolve_flight`](Self::resolve_flight)); the merge tasks then run
+    /// in the canonical order ([`merge_completions`](Self::merge_completions));
+    /// each changed destination's growth is queued for shadow advancement
+    /// one ring revolution from now and pending rejoin recoveries are
+    /// settled, in ascending node order; finally both endpoints of every
+    /// delivered flight get [`Protocol::on_exchange`] and a wake event, in
+    /// flight order.
+    // gossip-lint: allow(panic-path): ring_len >= 1 (max latency + 1) bounds the bucket; node ids are dense
+    fn deliver<P: Protocol>(&mut self, protocol: &mut P) {
+        let bucket = self.round as usize % self.ring_len;
+        let mut completions = std::mem::take(&mut self.calendar[bucket]);
+        self.in_flight_count -= completions.len();
+        for fl in &completions {
+            self.resolve_flight(fl);
+        }
+        self.changed_dsts.clear();
+        self.merge_completions();
+        self.merge_tasks.clear();
+
+        let changed = std::mem::take(&mut self.changed_dsts);
+        for &node in &changed {
+            let entry = (
+                node,
+                self.counts[node as usize] as u32,
+                self.epoch_of(node as usize),
+            );
+            self.shadow_ring[bucket].push(entry);
+        }
+        if !self.pending_recovery.is_empty() {
+            for &node in &changed {
+                self.check_recovery(node as usize);
+            }
+        }
+        self.changed_dsts = changed;
+
+        for fl in completions.drain(..) {
+            if fl.lost {
+                continue;
+            }
+            let latency = self.graph.latency(fl.edge);
+            for (node, here) in [(fl.initiator, true), (fl.responder, false)] {
+                protocol.on_exchange(
+                    node,
+                    &ExchangeEvent {
+                        peer: if here { fl.responder } else { fl.initiator },
+                        edge: fl.edge,
+                        latency,
+                        initiated_here: here,
+                        round: self.round,
+                    },
+                );
+                // A completed incident exchange is a wake event: the node
+                // may have merged new rumors, its `on_exchange` state
+                // changed, and (Blocking mode) `can_initiate` may have
+                // flipped.
+                self.sched.wake(node.index());
+            }
+        }
+        self.calendar[bucket] = completions; // keep the bucket's capacity
+    }
+
+    /// Delivery prologue for one flight: frees the initiator's slot; a lost
+    /// flight only tallies its loss and wakes the initiator; otherwise both
+    /// endpoints' watermarks are resolved into one merge task per receiving
+    /// endpoint and the edge latency is discovered at both.
+    // gossip-lint: allow(panic-path): per-node and per-edge vecs are sized n / edge_count at construction; ids are dense
+    fn resolve_flight(&mut self, fl: &Flight) {
+        let rec = self.graph.edge(fl.edge);
+        let ii = fl.initiator.index();
+        self.pending_own[ii] = self.pending_own[ii].saturating_sub(1);
+        if fl.lost {
+            // Timed out in transit: the initiator's slot frees up (a wake
+            // event) but nothing is delivered — no merge, no latency
+            // discovery, no `on_exchange`.
+            self.fault_tally.lost += 1;
+            self.sched.force_wake(ii);
+            return;
+        }
+        // Both endpoints merge the peer's log prefix as of initiation, minus
+        // what already crossed this edge.
+        let [toward_u, toward_v] = &mut self.watermarks[fl.edge.index()];
+        let (toward_initiator, toward_responder) = if fl.initiator == rec.u {
+            (toward_u, toward_v)
+        } else {
+            (toward_v, toward_u)
+        };
+        for (dst, src, upto, mark) in [
+            (
+                fl.initiator,
+                fl.responder,
+                fl.responder_known,
+                toward_initiator,
+            ),
+            (
+                fl.responder,
+                fl.initiator,
+                fl.initiator_known,
+                toward_responder,
+            ),
+        ] {
+            let start = (*mark).min(upto);
+            *mark = (*mark).max(upto);
+            if start < upto && self.counts[dst.index()] < self.rumors[dst.index()].universe() {
+                self.merge_tasks.push(MergeTask {
+                    dst: dst.index() as u32,
+                    src: src.index() as u32,
+                    start,
+                    upto,
+                });
+            }
+        }
+        self.discovered.mark(fl.edge, fl.initiator == rec.v);
+        self.discovered.mark(fl.edge, fl.responder == rec.v);
+    }
+
+    /// Executes the delivery's merge tasks in the **canonical merge order**
+    /// — ascending destination, flight order within one destination —
+    /// sharded by destination across `threads` workers on the vendored
+    /// rayon pool.  Pushes every destination that learned at least one
+    /// rumor onto `changed_dsts`, ascending.
     ///
     /// Each task unions `src`'s log prefix `start..upto` into `dst`.  The
     /// prefix is served from three sources: a saturation-collapsed `src` is
@@ -1329,31 +2035,15 @@ impl<'g> Progress<'g> {
     /// The two phases are separated by a barrier: phase B appends to
     /// `logs[dst]` while phase A *reads* `logs[src]`, and any `src` may be
     /// another shard's `dst`.
-    // gossip-lint: allow(panic-path): shard end indices come from partition_tasks over the same task slice, and per-shard vectors are built one entry per shard
-    fn merge_completions(
-        &mut self,
-        rumors: &mut [RumorSet],
-        tasks: &mut [MergeTask],
-        round: u64,
-        alive: Option<&AliveView>,
-        threads: usize,
-        changed: &mut Vec<u32>,
-    ) {
-        if tasks.is_empty() {
+    fn merge_completions(&mut self) {
+        if self.merge_tasks.is_empty() {
             return;
         }
-        // Stable: tasks into one destination keep their flight order.
-        tasks.sort_by_key(|t| t.dst);
-        let shard_count = if threads <= 1 || tasks.len() < MIN_PAR_TASKS {
-            1
-        } else {
-            threads
-        };
-        let ends = partition_tasks(tasks, shard_count);
-        let n = rumors.len();
-
-        let Progress {
+        let RunState {
             graph,
+            rumors,
+            round,
+            threads,
             logs,
             shadows,
             shadow_len,
@@ -1367,112 +2057,82 @@ impl<'g> Progress<'g> {
             tracked,
             informed_times,
             mem,
+            merge_tasks: tasks,
+            changed_dsts,
+            alive,
             ..
         } = self;
-        let (source_rumor, tracked, lb_bound) = (*source_rumor, *tracked, *lb_bound);
+        let threads = *threads;
+        // Stable: tasks into one destination keep their flight order.
+        tasks.sort_by_key(|t| t.dst);
+        let shard_count = if threads <= 1 || tasks.len() < MIN_PAR_TASKS {
+            1
+        } else {
+            threads
+        };
+        // Each shard's task range and destination range, shared by both
+        // phases: a shard owns destinations up to the first one of the next.
+        let task_ends = partition_tasks(tasks, shard_count);
+        let dst_ends: Vec<usize> = task_ends
+            .iter()
+            .map(|&hi| tasks.get(hi).map_or(rumors.len(), |t| t.dst as usize))
+            .collect();
+        let bases: Vec<usize> = std::iter::once(0).chain(dst_ends.iter().copied()).collect();
 
         // Phase A: union prefixes into the destinations' paged rumor sets.
-        struct PhaseAJob<'a> {
-            tasks: &'a [MergeTask],
-            base: usize,
-            rumors: &'a mut [RumorSet],
-        }
-        let new_runs: Vec<MergeShardNew> = {
+        let news: Vec<MergeShardNew> = {
             let (logs, shadows, shadow_len, collapsed) =
                 (&**logs, &**shadows, &**shadow_len, &**collapsed);
-            let mut jobs: Vec<PhaseAJob<'_>> = Vec::with_capacity(ends.len());
-            let mut rest: &mut [RumorSet] = rumors;
-            let mut base = 0usize;
-            let mut task_lo = 0usize;
-            for (k, &task_hi) in ends.iter().enumerate() {
-                let dst_hi = if k + 1 < ends.len() {
-                    tasks[task_hi].dst as usize
-                } else {
-                    n
-                };
-                let (mine, tail) = rest.split_at_mut(dst_hi - base);
-                jobs.push(PhaseAJob {
-                    tasks: &tasks[task_lo..task_hi],
-                    base,
-                    rumors: mine,
-                });
-                rest = tail;
-                base = dst_hi;
-                task_lo = task_hi;
-            }
-            run_jobs(threads, jobs, |job| {
-                merge_shard_phase_a(
-                    job.tasks, job.base, job.rumors, logs, shadows, shadow_len, collapsed,
-                )
+            let jobs: Vec<_> = split_at_ends(tasks, &task_ends)
+                .into_iter()
+                .zip(split_at_ends(rumors, &dst_ends))
+                .zip(&bases)
+                .collect();
+            run_jobs(threads, jobs, |((tasks, rumors), &base)| {
+                merge_shard_phase_a(tasks, base, rumors, logs, shadows, shadow_len, collapsed)
             })
         };
 
-        // Phase B: append the new runs to the destinations' logs and reduce
-        // the counter deltas in shard order.
-        struct PhaseBJob<'a> {
-            new: &'a MergeShardNew,
-            base: usize,
-            logs: &'a mut [AcquisitionLog],
-            counts: &'a mut [usize],
-            informed_times: Option<&'a mut [Option<u64>]>,
-        }
+        // Phase B: append the new segments to the destinations' logs and
+        // reduce the counter deltas in shard order.
         let deltas: Vec<MergeShardDelta> = {
-            let rumors = &*rumors;
-            let graph: &Graph = graph;
-            let mut jobs: Vec<PhaseBJob<'_>> = Vec::with_capacity(ends.len());
-            let mut logs_rest: &mut [AcquisitionLog] = logs;
-            let mut counts_rest: &mut [usize] = counts;
-            let mut informed_rest: Option<&mut [Option<u64>]> =
-                tracked.is_some().then_some(&mut informed_times[..]);
-            let mut base = 0usize;
-            for (k, &task_hi) in ends.iter().enumerate() {
-                let dst_hi = if k + 1 < ends.len() {
-                    tasks[task_hi].dst as usize
-                } else {
-                    n
-                };
-                let (logs_mine, logs_tail) = logs_rest.split_at_mut(dst_hi - base);
-                let (counts_mine, counts_tail) = counts_rest.split_at_mut(dst_hi - base);
-                let (informed_mine, informed_tail) = match informed_rest {
-                    Some(slice) => {
-                        let (a, b) = slice.split_at_mut(dst_hi - base);
-                        (Some(a), Some(b))
-                    }
-                    None => (None, None),
-                };
-                jobs.push(PhaseBJob {
-                    new: &new_runs[k],
-                    base,
-                    logs: logs_mine,
-                    counts: counts_mine,
-                    informed_times: informed_mine,
-                });
-                logs_rest = logs_tail;
-                counts_rest = counts_tail;
-                informed_rest = informed_tail;
-                base = dst_hi;
-            }
-            run_jobs(threads, jobs, |job| {
-                merge_shard_phase_b(
-                    job.new,
-                    job.base,
-                    rumors,
-                    job.logs,
-                    job.counts,
-                    job.informed_times,
-                    graph,
-                    alive,
-                    source_rumor,
-                    tracked,
-                    lb_bound,
-                    round,
-                )
-            })
+            let ctx = MergeCtx {
+                graph,
+                alive: alive.as_ref(),
+                rumors,
+                source_rumor: *source_rumor,
+                tracked: *tracked,
+                lb_bound: *lb_bound,
+                round: *round,
+            };
+            let informed: Vec<Option<&mut [Option<u64>]>> = if tracked.is_some() {
+                split_at_ends(informed_times, &dst_ends)
+                    .into_iter()
+                    .map(Some)
+                    .collect()
+            } else {
+                dst_ends.iter().map(|_| None).collect()
+            };
+            let jobs: Vec<_> = news
+                .iter()
+                .zip(&bases)
+                .zip(split_at_ends(logs, &dst_ends))
+                .zip(split_at_ends(counts, &dst_ends))
+                .zip(informed)
+                .collect();
+            let ctx = &ctx;
+            run_jobs(
+                threads,
+                jobs,
+                |((((new, &base), logs), counts), informed)| {
+                    merge_shard_phase_b(new, ctx, base, logs, counts, informed)
+                },
+            )
         };
 
         // Deterministic reduction, in shard order.
         let mut pages = PageTrace::default();
-        for new in &new_runs {
+        for new in &news {
             pages = PageTrace {
                 delta: pages.delta + new.pages.delta,
                 max_prefix: pages.max_prefix.max(pages.delta + new.pages.max_prefix),
@@ -1485,311 +2145,237 @@ impl<'g> Progress<'g> {
             *full_nodes += delta.full_nodes;
             *source_known_by += delta.source_known_by;
             *lb_deficit -= delta.lb_deficit_sub;
-            changed.extend_from_slice(&delta.changed);
+            changed_dsts.extend_from_slice(&delta.changed);
         }
         // `live_runs` only grows within a delivery phase, so the phase-end
         // value is its in-phase peak.
         mem.peak_runs = mem.peak_runs.max(mem.live_runs);
     }
 
-    /// Advances `node`'s shadow frontier to log position `target` (its rumor
-    /// count as of `ring_len` rounds ago — at or behind every snapshot that
-    /// can still be in flight), then truncates the log behind the frontier.
-    ///
-    /// The shadow bitset is materialised lazily: until at least
-    /// `min_truncate_runs` log storage units would be reclaimed, advancing is
-    /// skipped entirely — the retained log *is* the prefix, and stays small.
-    /// Word segments fold into the shadow by OR.
-    ///
-    /// Saturated nodes take the **collapse** path instead: once the queued
-    /// target reaches the full universe — i.e. one whole calendar lap has
-    /// passed since the node's set went full, so every snapshot of it still
-    /// in flight covers everything — the node's shadow is freed, its log
-    /// truncated entirely, and the node marked collapsed: all future merges
-    /// from it short-circuit.  While a saturated node waits for that lap,
-    /// ordinary advances are skipped (no point materialising a shadow the
-    /// collapse is about to free).
-    // gossip-lint: allow(panic-path): shadow ring buckets and node indices are bounded by the ring/CSR invariants
-    fn advance_shadow(
-        &mut self,
-        rumors: &[RumorSet],
-        node: usize,
-        target: u32,
-        min_truncate_runs: usize,
-    ) {
-        if self.collapsed[node] {
-            return;
-        }
-        if self.counts[node] >= rumors[node].universe() {
-            if target as usize == rumors[node].universe() {
-                self.collapse_node(node);
-            }
-            return;
-        }
-        let current = self.shadow_len[node];
-        if target <= current {
-            return;
-        }
-        if self.shadows[node].is_empty() {
-            if self.logs[node].runs_entirely_below(target) < min_truncate_runs {
-                return;
-            }
-            let words = vec![0u64; rumors[node].word_count()];
-            self.mem.shadow_words_live += words.len() as u64;
-            self.mem.shadow_words_peak = self.mem.shadow_words_peak.max(self.mem.shadow_words_live);
-            self.shadows[node] = words;
-        }
-        let shadow = &mut self.shadows[node];
-        self.logs[node].for_each_piece(current, target, |piece| match piece {
-            LogPiece::Run(first, len) => {
-                rumor::set_words_range(shadow, first.index(), len as usize);
-            }
-            LogPiece::Words(words) => {
-                for (s, &w) in shadow.iter_mut().zip(words) {
-                    *s |= w;
-                }
-            }
-        });
-        self.shadow_len[node] = target;
-        let freed = self.logs[node].truncate_below(target) as u64;
-        self.mem.live_runs -= freed;
-        self.mem.truncated_runs += freed;
-        self.mem.shadow_advances += 1;
-    }
-
-    /// Saturation collapse of `node`: frees its shadow, truncates its entire
-    /// log (releasing the storage), and marks it collapsed so merges from it
-    /// serve "the full universe" in `O(dst pages)`.
-    ///
-    /// Sound only when every possibly-outstanding snapshot of the node
-    /// covers the whole universe — the callers guarantee it (one calendar
-    /// lap after saturation, or at initialisation when nothing is in
-    /// flight).  Its rumor set needs no action: [`RumorSet`] collapsed it to
-    /// the canonical page-free full representation the moment it saturated.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn collapse_node(&mut self, node: usize) {
-        debug_assert!(!self.collapsed[node]);
-        let freed = self.logs[node].truncate_all() as u64;
-        self.mem.live_runs -= freed;
-        self.mem.truncated_runs += freed;
-        let shadow = std::mem::take(&mut self.shadows[node]);
-        self.mem.shadow_words_live -= shadow.len() as u64;
-        self.shadow_len[node] = self.logs[node].len();
-        self.collapsed[node] = true;
-        self.mem.collapsed_nodes += 1;
-    }
-
-    /// Retires a crashing node from every termination counter, freezes its
-    /// rumor state, and frees its log/shadow storage (a dead node is never
-    /// merged from again: every flight touching it is cancelled and no new
-    /// ones form).  Must be called with the *post-kill* alive view, exactly
-    /// once per effective crash.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn crash_node(&mut self, rumors: &[RumorSet], node: NodeId, alive: &AliveView) {
-        let i = node.index();
-        if self.counts[i] >= rumors[i].universe() {
-            self.full_nodes -= 1;
-        }
-        if let Some(r) = self.source_rumor {
-            if rumors[i].contains(r) {
-                self.source_known_by -= 1;
-            }
-        }
-        if let Some(bound) = self.lb_bound {
-            // Pairs incident to the dead node leave the local-broadcast
-            // obligation.  Only pairs whose *other* endpoint is alive over an
-            // un-cut edge were still counted.
-            for (w, e) in self.graph.neighbors(node) {
-                if self.graph.latency(e) <= bound
-                    && alive.is_node_alive(w)
-                    && alive.is_edge_alive(e)
-                {
-                    if !rumors[i].contains(RumorId::of_node(w)) {
-                        self.lb_deficit -= 1;
-                    }
-                    if !rumors[w.index()].contains(RumorId::of_node(node)) {
-                        self.lb_deficit -= 1;
-                    }
-                }
-            }
-        }
-        if !self.collapsed[i] {
-            let freed = self.logs[i].truncate_all() as u64;
-            self.mem.live_runs -= freed;
-            self.mem.truncated_runs += freed;
-            let shadow = std::mem::take(&mut self.shadows[i]);
-            self.mem.shadow_words_live -= shadow.len() as u64;
-            self.shadow_len[i] = self.logs[i].len();
-        }
-        if let Some(pos) = self
-            .pending_recovery
-            .iter()
-            .position(|&(v, _)| v as usize == i)
-        {
-            // Crashed again before recovering: it never recovers from *this*
-            // rejoin (a future rejoin starts a fresh recovery clock).
-            self.pending_recovery.swap_remove(pos);
-        }
-    }
-
-    /// Amnesiac rejoin: resets the node to a fresh singleton rumor state
-    /// (fresh log, no shadow, not collapsed), re-enters it into every
-    /// termination counter, and starts its re-dissemination recovery clock.
-    /// Must be called with the *post-revive* alive view.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn rejoin_node(
-        &mut self,
-        rumors: &mut [RumorSet],
-        node: NodeId,
-        round: u64,
-        alive: &AliveView,
-    ) {
-        let i = node.index();
-        let universe = rumors[i].universe();
-        let pages_before = rumors[i].live_pages();
-        rumors[i] = RumorSet::singleton(universe, RumorId::of_node(node));
-        self.mem
-            .record_page_delta(pages_before, rumors[i].live_pages());
-        if !self.collapsed[i] {
-            let freed = self.logs[i].truncate_all() as u64;
-            self.mem.live_runs -= freed;
-            self.mem.truncated_runs += freed;
-            let shadow = std::mem::take(&mut self.shadows[i]);
-            self.mem.shadow_words_live -= shadow.len() as u64;
-        }
-        self.logs[i] = AcquisitionLog::from_set(&rumors[i]);
-        self.mem.live_runs += self.logs[i].retained_runs() as u64;
-        self.mem.peak_runs = self.mem.peak_runs.max(self.mem.live_runs);
-        self.shadow_len[i] = 0;
-        self.collapsed[i] = false;
-        self.counts[i] = rumors[i].len();
-        if self.counts[i] >= universe {
-            self.full_nodes += 1;
-        }
-        if let Some(r) = self.source_rumor {
-            if rumors[i].contains(r) {
-                self.source_known_by += 1;
-            }
-        }
-        if let Some(r) = self.tracked {
-            if rumors[i].contains(r) && self.informed_times[i].is_none() {
-                self.informed_times[i] = Some(round);
-            }
-        }
-        if let Some(bound) = self.lb_bound {
-            // The rejoined node re-enters the local-broadcast obligation in
-            // both directions of every usable incident edge: it forgot its
-            // neighbors' rumors, and its neighbors still hold its (identical)
-            // rumor or not — re-count from the actual sets.
-            for (w, e) in self.graph.neighbors(node) {
-                if self.graph.latency(e) <= bound
-                    && alive.is_node_alive(w)
-                    && alive.is_edge_alive(e)
-                {
-                    if !rumors[i].contains(RumorId::of_node(w)) {
-                        self.lb_deficit += 1;
-                    }
-                    if !rumors[w.index()].contains(RumorId::of_node(node)) {
-                        self.lb_deficit += 1;
-                    }
-                }
-            }
-        }
-        let recovered = match self.recovery_target() {
-            Some(r) => rumors[i].contains(r),
-            None => rumors[i].is_full(),
-        };
-        if recovered {
-            self.note_recovery(0);
-        } else {
-            self.pending_recovery.push((i as u32, round));
-        }
-    }
-
-    /// Retires the local-broadcast pairs of a freshly cut edge (both
-    /// directions, if both endpoints are alive — dead-endpoint pairs were
-    /// already retired by the crash).  Must be called with the *post-cut*
-    /// alive view.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn cut_edge_pairs(&mut self, rumors: &[RumorSet], edge: EdgeId, alive: &AliveView) {
-        let Some(bound) = self.lb_bound else {
-            return;
-        };
-        if self.graph.latency(edge) > bound {
-            return;
-        }
-        let rec = self.graph.edge(edge);
-        if !alive.is_node_alive(rec.u) || !alive.is_node_alive(rec.v) {
-            return;
-        }
-        if !rumors[rec.u.index()].contains(RumorId::of_node(rec.v)) {
-            self.lb_deficit -= 1;
-        }
-        if !rumors[rec.v.index()].contains(RumorId::of_node(rec.u)) {
-            self.lb_deficit -= 1;
-        }
-    }
-
-    /// The rumor a rejoined node must re-learn to count as *recovered*: the
-    /// tracked rumor if any, else the `AllKnowRumorOf` source rumor, else
-    /// (`None`) its whole set.
-    fn recovery_target(&self) -> Option<RumorId> {
-        self.tracked.or(self.source_rumor)
-    }
-
-    /// If `node` is awaiting recovery and now holds its target, records the
-    /// re-dissemination latency and stops tracking it.
-    // gossip-lint: allow(panic-path): pending_recovery rounds never exceed the current round
-    fn check_recovery(&mut self, rumors: &[RumorSet], node: usize, round: u64) {
-        let Some(pos) = self
-            .pending_recovery
-            .iter()
-            .position(|&(v, _)| v as usize == node)
-        else {
-            return;
-        };
-        let recovered = match self.recovery_target() {
-            Some(r) => rumors[node].contains(r),
-            None => rumors[node].is_full(),
-        };
-        if recovered {
-            let (_, since) = self.pending_recovery.swap_remove(pos);
-            self.note_recovery(round - since);
-        }
-    }
-
-    /// Folds one recovered rejoiner's latency into the worst-case aggregate.
-    fn note_recovery(&mut self, latency: u64) {
-        self.recovery_latency = Some(
-            self.recovery_latency
-                .map_or(latency, |cur| cur.max(latency)),
-        );
-    }
-
-    fn is_done<P: Protocol>(
-        &self,
-        termination: &Termination,
-        round: u64,
-        protocol: &P,
-        in_flight_count: usize,
-        alive: Option<&AliveView>,
-    ) -> bool {
-        // Under faults, dissemination conditions quantify over *alive* nodes
-        // only (counters never count dead nodes); with no node alive they
-        // hold vacuously.
-        let n_alive = alive.map_or(self.counts.len(), AliveView::alive_count);
-        match *termination {
+    /// The termination check, on a round boundary.  Under faults,
+    /// dissemination conditions quantify over *alive* nodes only (counters
+    /// never count dead nodes); with no node alive they hold vacuously.
+    fn is_done<P: Protocol>(&self, protocol: &P, round: u64) -> bool {
+        let n_alive = self
+            .alive
+            .as_ref()
+            .map_or(self.counts.len(), AliveView::alive_count);
+        match self.config.termination {
             Termination::AllKnowRumorOf(_) => self.source_known_by == n_alive,
             Termination::AllKnowAll => self.full_nodes == n_alive,
             Termination::LocalBroadcast(_) => self.lb_deficit == 0,
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
-                in_flight_count == 0
+                self.in_flight_count == 0
                     && self
                         .graph
                         .nodes()
-                        .all(|v| alive.is_some_and(|a| !a.is_node_alive(v)) || protocol.is_idle(v))
+                        .all(|v| !self.is_alive(v) || protocol.is_idle(v))
             }
+        }
+    }
+
+    /// Phase 4 (after the termination check): lets every *active* node
+    /// act.  Woken nodes join the worklist first; the decision pass
+    /// (`pass`, serial or sharded — byte-identical either way, since each
+    /// node's RNG stream is independent and decisions only read round-start
+    /// state) records one [`Decide`] per worklist entry; then this serial
+    /// epilogue applies them in worklist order.  Nodes whose `on_round`
+    /// returned `None` and whose `activity` promises silence leave the
+    /// worklist here.  An initiation snapshots both endpoints' rumor counts
+    /// as of this round's merges.
+    // gossip-lint: allow(panic-path): worklist entries and targets are node ids of the graph; ring_len >= 1 bounds the bucket
+    fn decide<P: Protocol>(
+        &mut self,
+        protocol: &mut P,
+        pass: fn(&mut P, &DecisionCtx<'_>, &[u32], &mut Vec<Decide>),
+    ) {
+        self.sched.admit_woken();
+        self.decides.clear();
+        let ctx = DecisionCtx {
+            graph: self.graph,
+            rumors: &self.rumors[..],
+            alive: self.alive.as_ref(),
+            discovered: &self.discovered,
+            pending_own: &self.pending_own,
+            mode: self.config.mode,
+            latencies_known: self.config.latencies_known,
+            seed: self.config.seed,
+            round: self.round,
+            threads: self.threads,
+        };
+        pass(protocol, &ctx, &self.sched.worklist, &mut self.decides);
+        debug_assert_eq!(self.decides.len(), self.sched.worklist.len());
+        let mut kept = 0;
+        for k in 0..self.decides.len() {
+            let i = self.sched.worklist[k] as usize;
+            let node = NodeId::new(i);
+            let target = match self.decides[k] {
+                // Crashed while queued: drop from the worklist (its state is
+                // already `Quiescent`; a rejoin force-wake re-admits it).
+                Decide::Dead => continue,
+                Decide::Silent(activity) => {
+                    match activity {
+                        Activity::Active => {
+                            self.sched.worklist[kept] = i as u32;
+                            kept += 1;
+                        }
+                        Activity::IdleUntilWoken => self.sched.state[i] = NodeState::Idle,
+                        Activity::Quiescent => self.sched.state[i] = NodeState::Quiescent,
+                    }
+                    continue;
+                }
+                Decide::Target(target) => target,
+            };
+            self.sched.worklist[kept] = i as u32;
+            kept += 1;
+            // Unchanged since the decision pass: only `i`'s own epilogue
+            // step can bump `pending_own[i]`, and each node appears in the
+            // worklist once.
+            if self.config.mode == ExchangeMode::Blocking && self.pending_own[i] > 0 {
+                continue;
+            }
+            // A dead peer or cut edge rejects like a non-neighbor (the
+            // filtered view means a well-behaved protocol never picks one).
+            let edge = self.graph.find_edge(node, target).filter(|&e| {
+                self.alive
+                    .as_ref()
+                    .is_none_or(|a| a.is_edge_alive(e) && a.is_node_alive(target))
+            });
+            let Some(edge) = edge else {
+                self.rejections += 1;
+                protocol.on_rejected(node, target, self.round);
+                continue;
+            };
+            let latency = self.graph.latency(edge);
+            self.activations += 1;
+            self.pending_own[i] += 1;
+            self.calendar[(self.round + latency) as usize % self.ring_len].push(Flight {
+                initiator: node,
+                responder: target,
+                edge,
+                initiator_known: self.counts[i] as u32,
+                responder_known: self.counts[target.index()] as u32,
+                // Drawn exactly once per *accepted* initiation, from the
+                // dedicated loss stream (never the protocol RNG).
+                lost: fault::draw_loss(&mut self.loss),
+            });
+            self.in_flight_count += 1;
+        }
+        self.sched.worklist.truncate(kept);
+    }
+
+    /// Phase 5: advances the round clock.  With an empty worklist no node
+    /// can act until the next calendar event, and rounds without events are
+    /// no-ops (no deliveries, no shadow laps, no decisions) — so the clock
+    /// fast-forwards straight past them instead of spinning, stopping early
+    /// at a `FixedRounds` target or the `max_rounds` cap (both evaluated on
+    /// the round counter itself) and at the next fault event (it changes
+    /// topology and wakes nodes, so rounds past it are not provably
+    /// no-ops).
+    ///
+    /// One caveat: this round's decision phase ran after this round's
+    /// termination check, and for [`Termination::Quiescent`] a final
+    /// `on_round` call may have flipped the last `is_idle` — state the check
+    /// could not see but that the oracle observes at the next round's
+    /// boundary.  Nothing can change *during* a gap (no protocol calls,
+    /// frozen counters), so one re-check at `round + 1` is exact: if the run
+    /// is done there, walk a single round and let the loop terminate where
+    /// the oracle does.
+    fn fast_forward<P: Protocol>(&mut self, protocol: &P) {
+        let round = self.round;
+        if !self.sched.worklist.is_empty() {
+            self.round = round + 1;
+            return;
+        }
+        let max_rounds = self.config.max_rounds;
+        let mut next = next_event_round(round, self.ring_len, &self.calendar, &self.shadow_ring)
+            .unwrap_or(max_rounds)
+            .min(max_rounds);
+        if let Termination::FixedRounds(target) = self.config.termination {
+            // `target > round`, else the termination check would have
+            // ended the run.
+            next = next.min(target);
+        }
+        // Pending events all lie strictly after `round` (phase 1 drained
+        // the rest); the `max` is defensive.
+        if let Some(&(at, _)) = self.fault_events.get(self.fault_cursor) {
+            next = next.min(at.max(round + 1));
+        }
+        if self.is_done(protocol, round + 1) {
+            next = next.min(round + 1);
+        }
+        debug_assert!(next > round);
+        self.rounds_skipped += next - round - 1;
+        self.round = next;
+    }
+
+    /// Builds the run's report once the round loop has stopped (`done` if
+    /// it stopped on the termination condition; a run stopped by the round
+    /// cap gets one last check at its final round).
+    fn finish<P: Protocol>(self, protocol: &P, done: bool) -> RunReport {
+        let completed = done || self.is_done(protocol, self.round);
+        let n = self.rumors.len() as u64;
+        let counters = &self.mem;
+        let rumor_set_bytes =
+            counters.pages_peak * RumorSet::page_cost_bytes() + n * RumorSet::base_cost_bytes();
+        // A run is two u32s; a word-segment header is one run, its words 8 bytes each.
+        let peak_log_bytes = counters.peak_runs * 8;
+        let shadow_bytes = counters.shadow_words_peak * 8;
+        let watermark_bytes = self.graph.edge_count() as u64 * 8;
+        let discovery_bytes = self.discovered.bits.len() as u64 * 8;
+        let mem = MemStats {
+            peak_log_runs: counters.peak_runs,
+            peak_log_bytes,
+            live_log_runs: counters.live_runs,
+            truncated_runs: counters.truncated_runs,
+            word_segments: counters.word_segments,
+            shadow_advances: counters.shadow_advances,
+            shadow_bytes,
+            rumor_set_bytes,
+            pages_live: counters.pages_live,
+            pages_peak: counters.pages_peak,
+            saturated_nodes: self.full_nodes as u64,
+            collapsed_nodes: counters.collapsed_nodes,
+            peak_engine_bytes: rumor_set_bytes
+                + shadow_bytes
+                + peak_log_bytes
+                + watermark_bytes
+                + discovery_bytes,
+            rounds_simulated: self.rounds_simulated,
+            rounds_skipped: self.rounds_skipped,
+            active_peak: self.sched.active_peak,
+            active_final: self.sched.worklist.len() as u64,
+        };
+        // Graceful-degradation accounting: present exactly when a fault plan
+        // was attached (even an inert one), and computed identically by the
+        // oracle — it is part of the semantic report.
+        let faults = self.alive.as_ref().map(|av| {
+            let (residual_components, largest_component) = av.residual_components(self.graph);
+            FaultReport {
+                crashes: self.fault_tally.crashes,
+                rejoins: self.fault_tally.rejoins,
+                links_cut: self.fault_tally.links_cut,
+                exchanges_cancelled: self.fault_tally.cancelled,
+                exchanges_lost: self.fault_tally.lost,
+                alive_nodes: av.alive_count() as u64,
+                residual_components,
+                largest_component,
+                stranded_rumors: fault::stranded_rumors(self.rumors, av),
+                recovery_latency: self.recovery_latency,
+            }
+        });
+        RunReport {
+            protocol: protocol.name().to_string(),
+            rounds: self.round,
+            activations: self.activations,
+            messages: self.activations * 2,
+            completed,
+            rejections: self.rejections,
+            min_rumors_known: self.counts.iter().copied().min().unwrap_or(0),
+            informed_times: (!self.informed_times.is_empty()).then_some(self.informed_times),
+            faults,
+            mem: Some(mem),
         }
     }
 }
@@ -1895,597 +2481,23 @@ impl<'g> Simulation<'g> {
         self.run_inner::<P, ShardedDecisions>(protocol)
     }
 
-    // gossip-lint: allow(panic-path): node/edge indices come from the graph's own CSR bounds; ring_len >= 1
+    /// The round loop: one [`RunState`] driven through the round phases
+    /// (see "Round phases" in the module docs) until the termination
+    /// condition holds on a round boundary or the round cap is reached.
     fn run_inner<P: Protocol, D: DecisionDriver<P>>(&mut self, protocol: &mut P) -> RunReport {
-        let n = self.graph.node_count();
-        let threads = self.config.threads.max(1);
-
-        // Fault machinery — all empty/`None` without a plan, so fault-free
-        // runs pay nothing beyond a few predictable branches.
-        let fault_plan = self.config.faults.clone();
-        let fault_events: &[(u64, FaultEvent)] = match &fault_plan {
-            Some(plan) => plan.events(),
-            None => &[],
-        };
-        let mut fault_cursor = 0usize;
-        let mut fault_tally = FaultTally::default();
-        let mut loss = fault_plan.as_ref().and_then(FaultPlan::loss_stream);
-        let mut alive: Option<AliveView> = fault_plan.as_ref().map(|_| AliveView::new(self.graph));
-        // Per-node fault epoch: queued shadow-ring entries carry the epoch at
-        // queue time, and a crash or rejoin bumps it — stale entries (whose
-        // log positions refer to a freed or reset log) are dropped on pop.
-        let mut epoch: Vec<u32> = if fault_plan.is_some() {
-            vec![0; n]
-        } else {
-            Vec::new()
-        };
-
-        let mut progress = Progress::new(self.graph, &self.config, &self.rumors);
-        // Nodes that start fully saturated (trivial universes, pre-seeded
-        // states) have no outstanding snapshots at all: collapse immediately.
-        for i in 0..n {
-            if progress.counts[i] >= self.rumors[i].universe() {
-                progress.collapse_node(i);
+        let mut run = RunState::new(self.graph, &self.config, &mut self.rumors);
+        let mut done = run.is_done(protocol, 0);
+        while !done && run.round < self.config.max_rounds {
+            run.apply_faults();
+            run.advance_shadows();
+            run.deliver(protocol);
+            done = run.is_done(protocol, run.round);
+            if !done {
+                run.decide(protocol, D::decide);
+                run.fast_forward(protocol);
             }
         }
-        // Calendar queue: `completes_at % ring_len` addresses the bucket of
-        // exchanges completing at `completes_at`.  Latencies are in
-        // `1..=max_latency`, so at any instant the live completion times
-        // occupy distinct buckets.
-        let ring_len = self.graph.max_latency() as usize + 1;
-        let mut calendar: Vec<Vec<Flight>> = (0..ring_len).map(|_| Vec::new()).collect();
-        let mut in_flight_count = 0usize;
-        // Per-edge merge watermarks: how much of `v`'s log `u` has already
-        // merged over this edge (`[0]`) and vice versa (`[1]`).
-        let mut watermarks: Vec<[u32; 2]> = vec![[0, 0]; self.graph.edge_count()];
-        let mut discovered = DiscoveredLatencies::new(self.graph.edge_count());
-        let mut pending_own = vec![0usize; n];
-        let mut activations: u64 = 0;
-        let mut rejections: u64 = 0;
-        // Shadow-advancement calendar: a node whose rumor count changed in
-        // round `r` is queued with its end-of-round count, and popped
-        // `ring_len` rounds later — by then every snapshot still in flight
-        // was taken *after* round `r`, so the frontier may move there.
-        let mut shadow_ring: Vec<Vec<(u32, u32, u32)>> =
-            (0..ring_len).map(|_| Vec::new()).collect();
-        let mut merge_tasks: Vec<MergeTask> = Vec::new();
-        let mut changed_dsts: Vec<u32> = Vec::new();
-        let mut decides: Vec<Decide> = Vec::new();
-        let min_truncate_runs = self.config.shadow_min_truncate_runs;
-
-        // Event-driven scheduler state: the sorted worklist of active nodes
-        // (ascending node order keeps protocol calls — and therefore RNG
-        // draws — in exactly the order of the historical all-nodes sweep),
-        // a per-node state, and the buffer wake events accumulate in before
-        // being merged back into the worklist.
-        let mut node_state: Vec<NodeState> = vec![NodeState::Active; n];
-        let mut worklist: Vec<u32> = (0..n as u32).collect();
-        let mut woken: Vec<u32> = Vec::new();
-        let mut merge_buf: Vec<u32> = Vec::new();
-        let mut rounds_simulated: u64 = 0;
-        let mut rounds_skipped: u64 = 0;
-        // Every node starts in the worklist, so the peak is at least `n`
-        // even for runs that complete before their first decision phase
-        // (keeps the `active_peak >= active_final` invariant).
-        let mut active_peak: u64 = worklist.len() as u64;
-
-        let mut round: u64 = 0;
-        let mut completed = progress.is_done(
-            &self.config.termination,
-            0,
-            protocol,
-            in_flight_count,
-            alive.as_ref(),
-        );
-        if !completed {
-            while round < self.config.max_rounds {
-                rounds_simulated += 1;
-                let bucket = round as usize % ring_len;
-
-                // 0a. Apply fault events scheduled for this round — *before*
-                //     shadow advances and deliveries, so an exchange
-                //     completing this very round but incident to a node that
-                //     crashes now (or riding an edge cut now) is cancelled,
-                //     never delivered; the crash therefore can never
-                //     double-adjust a counter a delivery already touched.
-                while fault_events
-                    .get(fault_cursor)
-                    .is_some_and(|&(r, _)| r <= round)
-                {
-                    let (_, event) = fault_events[fault_cursor];
-                    fault_cursor += 1;
-                    let av = alive.as_mut().expect("fault events imply an alive view");
-                    match event {
-                        FaultEvent::Crash(v) => {
-                            if !av.kill_node(self.graph, v) {
-                                continue; // already dead: uncounted no-op
-                            }
-                            fault_tally.crashes += 1;
-                            // Cancel every in-flight exchange touching v; a
-                            // surviving initiator gets its slot back (a wake
-                            // event).
-                            for bucket_flights in calendar.iter_mut() {
-                                bucket_flights.retain(|fl| {
-                                    if fl.initiator != v && fl.responder != v {
-                                        return true;
-                                    }
-                                    fault_tally.cancelled += 1;
-                                    in_flight_count -= 1;
-                                    if fl.initiator != v {
-                                        let ii = fl.initiator.index();
-                                        pending_own[ii] = pending_own[ii].saturating_sub(1);
-                                        force_wake(&mut node_state, &mut woken, ii);
-                                    }
-                                    false
-                                });
-                            }
-                            pending_own[v.index()] = 0;
-                            progress.crash_node(&self.rumors, v, av);
-                            epoch[v.index()] = epoch[v.index()].wrapping_add(1);
-                            node_state[v.index()] = NodeState::Quiescent;
-                            // Topology changed under the survivors.
-                            for (w, _) in self.graph.neighbors(v) {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                        FaultEvent::Rejoin(v) => {
-                            if !av.revive_node(self.graph, v) {
-                                continue; // already alive: uncounted no-op
-                            }
-                            fault_tally.rejoins += 1;
-                            // Amnesiac restart: zero *both* directions of
-                            // every incident watermark (the peer's stale
-                            // high-water mark would otherwise skip the fresh
-                            // log's prefix, and v must re-merge everything),
-                            // and v forgets its discovered latencies.
-                            for (_, e) in self.graph.neighbors(v) {
-                                watermarks[e.index()] = [0, 0];
-                                discovered.unmark(e, self.graph.edge(e).v == v);
-                            }
-                            progress.rejoin_node(&mut self.rumors, v, round, av);
-                            epoch[v.index()] = epoch[v.index()].wrapping_add(1);
-                            force_wake(&mut node_state, &mut woken, v.index());
-                            for (w, _) in self.graph.neighbors(v) {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                        FaultEvent::CutLink(e) => {
-                            if !av.cut_edge(self.graph, e) {
-                                continue; // already cut: uncounted no-op
-                            }
-                            fault_tally.links_cut += 1;
-                            for bucket_flights in calendar.iter_mut() {
-                                bucket_flights.retain(|fl| {
-                                    if fl.edge != e {
-                                        return true;
-                                    }
-                                    fault_tally.cancelled += 1;
-                                    in_flight_count -= 1;
-                                    let ii = fl.initiator.index();
-                                    pending_own[ii] = pending_own[ii].saturating_sub(1);
-                                    force_wake(&mut node_state, &mut woken, ii);
-                                    false
-                                });
-                            }
-                            progress.cut_edge_pairs(&self.rumors, e, av);
-                            let rec = self.graph.edge(e);
-                            for w in [rec.u, rec.v] {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // 0. Advance shadow frontiers queued `ring_len` rounds ago and
-                //    truncate the logs behind them.  A finished
-                //    saturation-collapse lap is a wake event (see
-                //    [`Activity::IdleUntilWoken`]).
-                let mut advances = std::mem::take(&mut shadow_ring[bucket]);
-                for (node, target, entry_epoch) in advances.drain(..) {
-                    let i = node as usize;
-                    if epoch.get(i).copied().unwrap_or(0) != entry_epoch {
-                        // The node crashed or rejoined since this advance was
-                        // queued: the target refers to a freed or reset log.
-                        continue;
-                    }
-                    let was_collapsed = progress.collapsed[i];
-                    progress.advance_shadow(&self.rumors, i, target, min_truncate_runs);
-                    if !was_collapsed && progress.collapsed[i] && node_state[i] == NodeState::Idle {
-                        node_state[i] = NodeState::Active;
-                        woken.push(node);
-                    }
-                }
-                shadow_ring[bucket] = advances; // keep the bucket's capacity
-
-                // 1. Deliver exchanges completing at the start of this round.
-                //    Serial prologue, in flight order: free initiator slots,
-                //    tally losses, resolve the per-edge watermarks, and emit
-                //    one merge task per receiving endpoint.
-                let mut completions = std::mem::take(&mut calendar[bucket]);
-                in_flight_count -= completions.len();
-                for fl in completions.iter() {
-                    let rec = self.graph.edge(fl.edge);
-                    pending_own[fl.initiator.index()] =
-                        pending_own[fl.initiator.index()].saturating_sub(1);
-                    if fl.lost {
-                        // Timed out in transit: the initiator's slot frees up
-                        // (a wake event) but nothing is delivered — no merge,
-                        // no latency discovery, no `on_exchange`.
-                        fault_tally.lost += 1;
-                        force_wake(&mut node_state, &mut woken, fl.initiator.index());
-                        continue;
-                    }
-                    // Both endpoints merge the peer's log prefix as of
-                    // initiation, minus what already crossed this edge.
-                    let [toward_u, toward_v] = &mut watermarks[fl.edge.index()];
-                    let (toward_initiator, toward_responder) = if fl.initiator == rec.u {
-                        (toward_u, toward_v)
-                    } else {
-                        (toward_v, toward_u)
-                    };
-                    for (dst, src, upto, mark) in [
-                        (
-                            fl.initiator,
-                            fl.responder,
-                            fl.responder_known,
-                            toward_initiator,
-                        ),
-                        (
-                            fl.responder,
-                            fl.initiator,
-                            fl.initiator_known,
-                            toward_responder,
-                        ),
-                    ] {
-                        let start = (*mark).min(upto);
-                        *mark = (*mark).max(upto);
-                        if start < upto
-                            && progress.counts[dst.index()] < self.rumors[dst.index()].universe()
-                        {
-                            merge_tasks.push(MergeTask {
-                                dst: dst.index() as u32,
-                                src: src.index() as u32,
-                                start,
-                                upto,
-                            });
-                        }
-                    }
-                    discovered.mark(fl.edge, fl.initiator == rec.v);
-                    discovered.mark(fl.edge, fl.responder == rec.v);
-                }
-
-                // Canonical merge order — ascending destination, flight order
-                // within a destination — regardless of thread count.
-                changed_dsts.clear();
-                progress.merge_completions(
-                    &mut self.rumors,
-                    &mut merge_tasks,
-                    round,
-                    alive.as_ref(),
-                    threads,
-                    &mut changed_dsts,
-                );
-                merge_tasks.clear();
-
-                // Queue this round's growth for shadow advancement one ring
-                // revolution from now, and settle pending rejoin recoveries —
-                // per changed destination, in ascending node order.
-                for &node in changed_dsts.iter() {
-                    shadow_ring[bucket].push((
-                        node,
-                        progress.counts[node as usize] as u32,
-                        epoch.get(node as usize).copied().unwrap_or(0),
-                    ));
-                }
-                if !progress.pending_recovery.is_empty() {
-                    for &node in changed_dsts.iter() {
-                        progress.check_recovery(&self.rumors, node as usize, round);
-                    }
-                }
-
-                // Protocol notifications and wake events, in flight order.
-                for fl in completions.drain(..) {
-                    if fl.lost {
-                        continue;
-                    }
-                    let latency = self.graph.latency(fl.edge);
-                    for (node, here) in [(fl.initiator, true), (fl.responder, false)] {
-                        protocol.on_exchange(
-                            node,
-                            &ExchangeEvent {
-                                peer: if here { fl.responder } else { fl.initiator },
-                                edge: fl.edge,
-                                latency,
-                                initiated_here: here,
-                                round,
-                            },
-                        );
-                        // A completed incident exchange is a wake event: the
-                        // node may have merged new rumors, its `on_exchange`
-                        // state changed, and (Blocking mode) `can_initiate`
-                        // may have flipped.
-                        let i = node.index();
-                        if node_state[i] == NodeState::Idle {
-                            node_state[i] = NodeState::Active;
-                            woken.push(i as u32);
-                        }
-                    }
-                }
-                calendar[bucket] = completions; // keep the bucket's capacity
-
-                // 2. Check termination (conditions are evaluated on round boundaries).
-                if progress.is_done(
-                    &self.config.termination,
-                    round,
-                    protocol,
-                    in_flight_count,
-                    alive.as_ref(),
-                ) {
-                    completed = true;
-                    break;
-                }
-
-                // Re-activate woken nodes, keeping the worklist sorted so
-                // decisions stay in ascending node order (wakes arrive in
-                // completion order and may repeat across a node's two
-                // endpoints' events, hence sort + dedup).
-                if !woken.is_empty() {
-                    woken.sort_unstable();
-                    woken.dedup();
-                    merge_buf.clear();
-                    merge_buf.reserve(worklist.len() + woken.len());
-                    let (mut a, mut b) = (0, 0);
-                    while a < worklist.len() && b < woken.len() {
-                        // The `Equal` arm matters under faults: a node that
-                        // crashed and rejoined in the same round is still in
-                        // the stale worklist *and* in `woken` — emitting it
-                        // twice would double its `on_round` call and
-                        // desynchronise the RNG.
-                        match worklist[a].cmp(&woken[b]) {
-                            std::cmp::Ordering::Less => {
-                                merge_buf.push(worklist[a]);
-                                a += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                merge_buf.push(woken[b]);
-                                b += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                merge_buf.push(worklist[a]);
-                                a += 1;
-                                b += 1;
-                            }
-                        }
-                    }
-                    merge_buf.extend_from_slice(&worklist[a..]);
-                    merge_buf.extend_from_slice(&woken[b..]);
-                    std::mem::swap(&mut worklist, &mut merge_buf);
-                    woken.clear();
-                }
-                active_peak = active_peak.max(worklist.len() as u64);
-
-                // 3. Let every *active* node act: the decision pass records
-                //    one `Decide` per worklist entry (serially or across
-                //    worker shards — byte-identical either way, since each
-                //    node's RNG stream is independent and decisions only read
-                //    round-start state), then the serial epilogue applies
-                //    them in worklist order.  Nodes whose `on_round` returned
-                //    `None` and whose `activity` promises silence leave the
-                //    worklist here.
-                decides.clear();
-                {
-                    let ctx = DecisionCtx {
-                        graph: self.graph,
-                        rumors: &self.rumors,
-                        alive: alive.as_ref(),
-                        discovered: &discovered,
-                        pending_own: &pending_own,
-                        mode: self.config.mode,
-                        latencies_known: self.config.latencies_known,
-                        seed: self.config.seed,
-                        round,
-                        threads,
-                    };
-                    D::decide(protocol, &ctx, &worklist, &mut decides);
-                }
-                debug_assert_eq!(decides.len(), worklist.len());
-                let mut kept = 0;
-                for (k, &decide) in decides.iter().enumerate() {
-                    let i = worklist[k] as usize;
-                    let node = NodeId::new(i);
-                    let target = match decide {
-                        // Crashed while queued: drop from the worklist (its
-                        // state is already `Quiescent`; a rejoin force-wake
-                        // re-admits it).
-                        Decide::Dead => continue,
-                        Decide::Silent(activity) => {
-                            match activity {
-                                Activity::Active => {
-                                    worklist[kept] = i as u32;
-                                    kept += 1;
-                                }
-                                Activity::IdleUntilWoken => node_state[i] = NodeState::Idle,
-                                Activity::Quiescent => node_state[i] = NodeState::Quiescent,
-                            }
-                            continue;
-                        }
-                        Decide::Target(target) => target,
-                    };
-                    worklist[kept] = i as u32;
-                    kept += 1;
-                    let can_initiate = match self.config.mode {
-                        ExchangeMode::NonBlocking => true,
-                        // Unchanged since the decision pass: only `i`'s own
-                        // epilogue step can bump `pending_own[i]`, and each
-                        // node appears in the worklist once.
-                        ExchangeMode::Blocking => pending_own[i] == 0,
-                    };
-                    if !can_initiate {
-                        continue;
-                    }
-                    let Some(edge) = self.graph.find_edge(node, target) else {
-                        rejections += 1;
-                        protocol.on_rejected(node, target, round);
-                        continue;
-                    };
-                    if let Some(av) = &alive {
-                        // A dead peer or cut edge rejects like a non-neighbor
-                        // (the filtered view means a well-behaved protocol
-                        // never picks one).
-                        if !av.is_edge_alive(edge) || !av.is_node_alive(target) {
-                            rejections += 1;
-                            protocol.on_rejected(node, target, round);
-                            continue;
-                        }
-                    }
-                    let latency = self.graph.latency(edge);
-                    activations += 1;
-                    pending_own[i] += 1;
-                    calendar[(round + latency) as usize % ring_len].push(Flight {
-                        initiator: node,
-                        responder: target,
-                        edge,
-                        initiator_known: progress.counts[i] as u32,
-                        responder_known: progress.counts[target.index()] as u32,
-                        // Drawn exactly once per *accepted* initiation, from
-                        // the dedicated loss stream (never the protocol RNG).
-                        lost: fault::draw_loss(&mut loss),
-                    });
-                    in_flight_count += 1;
-                }
-                worklist.truncate(kept);
-
-                // 4. Advance the round clock.  With an empty worklist no
-                //    node can act until the next calendar event, and rounds
-                //    without events are no-ops (no deliveries, no shadow
-                //    laps, no decisions) — so fast-forward straight past
-                //    them instead of spinning, stopping early at a
-                //    `FixedRounds` target or the `max_rounds` cap, both of
-                //    which are evaluated on the round counter itself.
-                //
-                //    One caveat: this round's *decision phase* ran after
-                //    this round's termination check, and for
-                //    [`Termination::Quiescent`] a final `on_round` call may
-                //    have flipped the last `is_idle` — state the check
-                //    could not see but that the oracle observes
-                //    at the next round's boundary.  Nothing can change
-                //    *during* a gap (no protocol calls, frozen counters),
-                //    so one re-check at `round + 1` is exact: if the run is
-                //    done there, walk a single round and let the loop
-                //    terminate where the oracle does.
-                if worklist.is_empty() {
-                    let mut next = next_event_round(round, ring_len, &calendar, &shadow_ring)
-                        .unwrap_or(self.config.max_rounds)
-                        .min(self.config.max_rounds);
-                    if let Termination::FixedRounds(target) = self.config.termination {
-                        // `target > round`, else step 2 would have completed.
-                        next = next.min(target);
-                    }
-                    // A pending fault event is a hard stop for the gap: it
-                    // changes topology (and wakes nodes), so rounds past it
-                    // are not provably no-ops.  Pending events all lie
-                    // strictly after `round` (step 0a drained the rest); the
-                    // `max` is defensive.
-                    if let Some(&(r, _)) = fault_events.get(fault_cursor) {
-                        next = next.min(r.max(round + 1));
-                    }
-                    if progress.is_done(
-                        &self.config.termination,
-                        round + 1,
-                        protocol,
-                        in_flight_count,
-                        alive.as_ref(),
-                    ) {
-                        next = next.min(round + 1);
-                    }
-                    debug_assert!(next > round);
-                    rounds_skipped += next - round - 1;
-                    round = next;
-                } else {
-                    round += 1;
-                }
-            }
-        }
-
-        if !completed {
-            completed = progress.is_done(
-                &self.config.termination,
-                round,
-                protocol,
-                in_flight_count,
-                alive.as_ref(),
-            );
-        }
-        let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()
-            + n as u64 * RumorSet::base_cost_bytes();
-        // A run is two u32s; a word-segment header is one run, its words 8 bytes each.
-        let peak_log_bytes = progress.mem.peak_runs * 8;
-        let shadow_bytes = progress.mem.shadow_words_peak * 8;
-        let watermark_bytes = self.graph.edge_count() as u64 * 8;
-        let discovery_bytes = discovered.bits.len() as u64 * 8;
-        let mem = MemStats {
-            peak_log_runs: progress.mem.peak_runs,
-            peak_log_bytes,
-            live_log_runs: progress.mem.live_runs,
-            truncated_runs: progress.mem.truncated_runs,
-            word_segments: progress.mem.word_segments,
-            shadow_advances: progress.mem.shadow_advances,
-            shadow_bytes,
-            rumor_set_bytes,
-            pages_live: progress.mem.pages_live,
-            pages_peak: progress.mem.pages_peak,
-            saturated_nodes: progress.full_nodes as u64,
-            collapsed_nodes: progress.mem.collapsed_nodes,
-            peak_engine_bytes: rumor_set_bytes
-                + shadow_bytes
-                + peak_log_bytes
-                + watermark_bytes
-                + discovery_bytes,
-            rounds_simulated,
-            rounds_skipped,
-            active_peak,
-            active_final: worklist.len() as u64,
-        };
-        // Graceful-degradation accounting: present exactly when a fault plan
-        // was attached (even an inert one), and computed identically by the
-        // oracle — it is part of the semantic report.
-        let faults = alive.map(|av| {
-            let (residual_components, largest_component) = av.residual_components(self.graph);
-            FaultReport {
-                crashes: fault_tally.crashes,
-                rejoins: fault_tally.rejoins,
-                links_cut: fault_tally.links_cut,
-                exchanges_cancelled: fault_tally.cancelled,
-                exchanges_lost: fault_tally.lost,
-                alive_nodes: av.alive_count() as u64,
-                residual_components,
-                largest_component,
-                stranded_rumors: fault::stranded_rumors(&self.rumors, &av),
-                recovery_latency: progress.recovery_latency,
-            }
-        });
-        RunReport {
-            protocol: protocol.name().to_string(),
-            rounds: round,
-            activations,
-            messages: activations * 2,
-            completed,
-            rejections,
-            informed_times: if progress.informed_times.is_empty() {
-                None
-            } else {
-                Some(progress.informed_times)
-            },
-            min_rumors_known: progress.counts.iter().copied().min().unwrap_or(0),
-            faults,
-            mem: Some(mem),
-        }
+        run.finish(protocol, done)
     }
 }
 

@@ -25,7 +25,10 @@ use gossip_bench::Scale;
 use gossip_graph::{generators, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
-use gossip_sim::{ChurnSpec, FaultPlan, RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::{
+    Activity, ChurnSpec, ExchangeEvent, FaultPlan, NodeView, Protocol, RumorId, SimConfig,
+    Simulation, Termination,
+};
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -306,6 +309,100 @@ proptest! {
             "a post-quiescence crash must not change the run"
         );
     }
+}
+
+/// Push–pull that finishes its program after `k` completed exchanges per
+/// node: from then on the node stays silent and reports itself idle, so
+/// [`Termination::Quiescent`] waits on a real `is_idle`.
+struct PushPullUntil {
+    k: usize,
+    /// Completed exchanges per node.
+    exchanges: Vec<usize>,
+}
+
+impl PushPullUntil {
+    fn new(n: usize, k: usize) -> Self {
+        PushPullUntil {
+            k,
+            exchanges: vec![0; n],
+        }
+    }
+}
+
+impl Protocol for PushPullUntil {
+    fn name(&self) -> &'static str {
+        "push-pull-until-k"
+    }
+
+    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
+        if self.is_idle(view.node) {
+            return None;
+        }
+        RandomPushPull.on_round(view, rng)
+    }
+
+    fn on_exchange(&mut self, node: NodeId, _event: &ExchangeEvent) {
+        self.exchanges[node.index()] += 1;
+    }
+
+    fn is_idle(&self, node: NodeId) -> bool {
+        self.exchanges[node.index()] >= self.k
+    }
+
+    fn activity(&self, view: &NodeView<'_>) -> Activity {
+        // A finished program never restarts: the exchange count only grows.
+        if self.is_idle(view.node) {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
+    }
+}
+
+/// `Termination::Quiescent` under faults: the run ends once nothing is in
+/// flight and every *alive* node is idle — a dead node counts as idle
+/// whatever its program state.  Node 1 crashes at round 1, before it can
+/// finish, and stays down, so no run can complete unless dead nodes are
+/// skipped; node 2 crashes and rejoins, and edge 0 is cut mid-run.
+#[test]
+fn quiescent_termination_under_crash_rejoin_and_cut_matches_the_oracle() {
+    let mut completed = 0usize;
+    for seed in 0u64..16 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9_1E7);
+        let g = generators::erdos_renyi(24, 0.4, 1, &mut rng).unwrap();
+        let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 1, max: 3 }
+            .apply(&g, &mut rng)
+            .unwrap();
+        let plan = FaultPlan::new()
+            .crash(1, NodeId::new(1))
+            .crash(2, NodeId::new(2))
+            .cut_link(3, gossip_graph::EdgeId::new(0))
+            .rejoin(5, NodeId::new(2));
+        let config = SimConfig::new(seed)
+            .termination(Termination::Quiescent)
+            .max_rounds(300)
+            .faults(plan);
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            || PushPullUntil::new(g.node_count(), 4),
+            &format!("quiescent-under-faults/seed{seed}"),
+        );
+        let section = report.faults.expect(FAULT_SECTION);
+        assert_eq!(
+            (section.crashes, section.rejoins, section.links_cut),
+            (2, 1, 1),
+            "every planned event lands before the run can finish (seed {seed})"
+        );
+        if report.completed {
+            assert_eq!(section.alive_nodes, 23, "node 1 is still down");
+            completed += 1;
+        }
+    }
+    assert!(
+        completed > 0,
+        "no seed reached quiescence, so the alive-aware branch never ran"
+    );
 }
 
 /// Crash/rejoin churn on the mixed-encoding graph of `engine_equivalence`
